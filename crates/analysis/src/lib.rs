@@ -17,12 +17,12 @@
 //!    `EXPERIMENTS.md`, so no figure/table can silently drop out of the
 //!    report.
 //! 4. **op-table-coverage**: every `OpKind` declared in graph.rs's
-//!    `op_kinds!` block must have an entry in all five per-op tables — the
-//!    auditor's shape rules (`Op::<Kind>` in audit.rs), the liveness operand
-//!    table (`Op::<Kind>` inside `backward_value_reads`), the gradcheck
-//!    registry (whose own `OpKind::ALL` exhaustiveness guard must be
-//!    present), and the symbolic verifier's two tables in symbolic.rs (the
-//!    shape rules in `sym_shape` and the abstract transfer functions in
+//!    `op_kinds!` block must have an entry in all four per-op tables — the
+//!    liveness operand table (`Op::<Kind>` inside `backward_value_reads`),
+//!    the gradcheck registry (whose own `OpKind::ALL` exhaustiveness guard
+//!    must be present), and the symbolic verifier's two tables in
+//!    symbolic.rs (the shape rules in `sym_shape`, which the concrete
+//!    auditor shares, and the abstract transfer functions in
 //!    `abs_transfer`, delimited by the `TRANSFER_TABLES_END` sentinel). The
 //!    in-crate exhaustive matches already fail the *build* when a variant is
 //!    missing; this rule fails the *lint* with a message naming the table,
@@ -485,15 +485,10 @@ pub fn parse_op_kinds(graph_rs: &str) -> Vec<String> {
         .collect()
 }
 
-/// Every `OpKind` must appear in the audit shape table, the liveness
-/// operand table, the symbolic verifier's shape and abstract-transfer
-/// tables, and be covered by the gradcheck exhaustiveness guard.
-pub fn lint_op_table_coverage(
-    graph_rs: &str,
-    audit_rs: &str,
-    gradcheck_rs: &str,
-    symbolic_rs: &str,
-) -> Vec<Lint> {
+/// Every `OpKind` must appear in the liveness operand table and the
+/// symbolic verifier's shape and abstract-transfer tables, and be covered by
+/// the gradcheck exhaustiveness guard.
+pub fn lint_op_table_coverage(graph_rs: &str, gradcheck_rs: &str, symbolic_rs: &str) -> Vec<Lint> {
     let mut lints = Vec::new();
     let mut file_lint = |file: &str, message: String| {
         lints.push(Lint { file: file.to_string(), line: 0, rule: "op-table-coverage", message });
@@ -553,12 +548,6 @@ pub fn lint_op_table_coverage(
                     "OpKind::{kind} has no entry in the liveness operand table \
                      (`Op::backward_value_reads`); the memory planner cannot model it"
                 ),
-            );
-        }
-        if !has_token(audit_rs, &pat) {
-            file_lint(
-                "crates/nn/src/audit.rs",
-                format!("OpKind::{kind} has no audit shape rule (`Op::{kind}` never matched)"),
             );
         }
         if !sym_shape_table.is_empty() && !has_token(sym_shape_table, &pat) {
@@ -969,10 +958,9 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Lint>> {
     lints.extend(lint_bench_registry(&stems, &experiments));
 
     let graph_rs = std::fs::read_to_string(root.join("crates/nn/src/graph.rs"))?;
-    let audit_rs = std::fs::read_to_string(root.join("crates/nn/src/audit.rs"))?;
     let gradcheck_rs = std::fs::read_to_string(root.join("crates/nn/tests/gradcheck.rs"))?;
     let symbolic_rs = std::fs::read_to_string(root.join("crates/nn/src/symbolic.rs"))?;
-    lints.extend(lint_op_table_coverage(&graph_rs, &audit_rs, &gradcheck_rs, &symbolic_rs));
+    lints.extend(lint_op_table_coverage(&graph_rs, &gradcheck_rs, &symbolic_rs));
 
     // Rules 5 and 11 cover every tree that could construct a config and
     // ship it into a model, or export a deprecated entry point: all crate
@@ -1207,28 +1195,31 @@ mod tests {
 
     #[test]
     fn missing_table_entries_are_flagged_per_table() {
-        // Bar is absent from the operand table; Foo is absent from audit.
-        let audit = "match op { Op::Bar(..) => {} }";
+        // Bar is absent from the operand table; Foo from the shape rules.
         let gradcheck = "OpKind::ALL guard lives here";
-        let lints = lint_op_table_coverage(FAKE_GRAPH, audit, gradcheck, FAKE_SYMBOLIC);
+        let symbolic = concat!(
+            "fn sym_shape() { match op { Op::Bar(..) => {} } }\n",
+            "fn abs_transfer() { match op { Op::Foo(..) => {} Op::Bar(..) => {} } }\n",
+            "// TRANSFER_TABLES_END\n",
+        );
+        let lints = lint_op_table_coverage(FAKE_GRAPH, gradcheck, symbolic);
         assert_eq!(lints.len(), 2, "{lints:?}");
         assert!(lints
             .iter()
             .any(|l| l.message.contains("Bar") && l.message.contains("liveness operand table")));
         assert!(lints
             .iter()
-            .any(|l| l.message.contains("Foo") && l.message.contains("audit shape rule")));
+            .any(|l| l.message.contains("Foo") && l.message.contains("symbolic shape rule")));
         assert!(lints.iter().all(|l| l.rule == "op-table-coverage"));
     }
 
     #[test]
     fn missing_gradcheck_guard_is_flagged() {
-        let audit = "Op::Foo Op::Bar";
         let graph = concat!(
             "op_kinds! {\n    Foo,\n    Bar,\n}\n",
             "fn backward_value_reads() { Op::Foo Op::Bar }\nfn payload_elems() {}\n",
         );
-        let lints = lint_op_table_coverage(graph, audit, "no guard", FAKE_SYMBOLIC);
+        let lints = lint_op_table_coverage(graph, "no guard", FAKE_SYMBOLIC);
         assert_eq!(lints.len(), 1, "{lints:?}");
         assert!(lints[0].message.contains("OpKind::ALL"));
     }
@@ -1245,7 +1236,7 @@ mod tests {
             "fn abs_transfer() { Op::Add }\n",
             "// TRANSFER_TABLES_END\n",
         );
-        let lints = lint_op_table_coverage(graph, "Op::Add", "OpKind::ALL", symbolic);
+        let lints = lint_op_table_coverage(graph, "OpKind::ALL", symbolic);
         assert_eq!(lints.len(), 1, "{lints:?}");
         assert!(lints[0].message.contains("liveness operand table"));
     }
@@ -1258,12 +1249,11 @@ mod tests {
             "fn abs_transfer() { match op { Op::Foo(..) => {} } }\n",
             "// TRANSFER_TABLES_END\n",
         );
-        let audit = "Op::Foo Op::Bar";
         let graph = concat!(
             "op_kinds! {\n    Foo,\n    Bar,\n}\n",
             "fn backward_value_reads() { Op::Foo Op::Bar }\nfn payload_elems() {}\n",
         );
-        let lints = lint_op_table_coverage(graph, audit, "OpKind::ALL", symbolic);
+        let lints = lint_op_table_coverage(graph, "OpKind::ALL", symbolic);
         assert_eq!(lints.len(), 2, "{lints:?}");
         assert!(lints
             .iter()
@@ -1280,7 +1270,7 @@ mod tests {
             "op_kinds! {\n    Foo,\n}\n",
             "fn backward_value_reads() { Op::Foo }\nfn payload_elems() {}\n",
         );
-        let lints = lint_op_table_coverage(graph, "Op::Foo", "OpKind::ALL", "fn sym_shape() {}");
+        let lints = lint_op_table_coverage(graph, "OpKind::ALL", "fn sym_shape() {}");
         assert_eq!(lints.len(), 1, "{lints:?}");
         assert!(lints[0].message.contains("TRANSFER_TABLES_END"));
     }

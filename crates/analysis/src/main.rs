@@ -39,11 +39,11 @@
 
 use start_analysis::{lint_workspace, workspace_root};
 use start_core::StandardShard;
-use start_nn::audit::Severity;
 use start_nn::graph::Graph;
 use start_nn::liveness::MemoryPlan;
 use start_nn::params::GradStore;
 use start_nn::symbolic::{verify_family, DEFAULT_ANCHORS};
+use start_nn::{Findings, Severity};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -145,6 +145,7 @@ pub fn symbolic_families() -> Vec<Box<dyn TapeFamily>> {
 mod tests {
     use super::*;
     use start_nn::symbolic::{verify_family, DEFAULT_ANCHORS};
+    use start_nn::Findings;
 
     /// All eight baseline trainers verify with zero Error findings at the
     /// default anchors — the CI gate's contract.

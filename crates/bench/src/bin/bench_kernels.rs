@@ -1,18 +1,16 @@
 //! Kernel microbenchmarks for the matmul family and the fused multi-head
-//! attention tape op, three-way across the [`start_nn::backend`] seam.
+//! attention tape op, across the [`start_nn::backend`] seam: the portable
+//! blocked [`ScalarBackend`](start_nn::backend::ScalarBackend) is the
+//! baseline, and the AVX2+FMA SIMD backend (where the host supports it) is
+//! measured against it.
 //!
 //! Two layers of measurement:
 //!
-//! 1. Raw kernels — the pre-blocking reference implementations (branchy
-//!    zero-skip triple loops, kept verbatim in `start_nn::array::reference`)
-//!    against the blocked scalar backend and, where the host supports
-//!    AVX2+FMA, the SIMD backend; reported as GFLOP/s per shape.
-//! 2. A full Transformer encoder layer, forward + backward — "current main"
-//!    (zero-skip reference kernels, legacy per-head attention tape, a fresh
-//!    graph each step) against the blocked scalar backend and the SIMD
-//!    backend (fused [`Graph::mh_attention`] op, pooled reused graph),
-//!    reported as tokens/sec. All paths run the same seed and must agree on
-//!    the loss to 1e-4 at every step.
+//! 1. Raw kernels — scalar vs SIMD GFLOP/s per shape.
+//! 2. A full Transformer encoder layer, forward + backward, on the fused
+//!    [`Graph::mh_attention`] op with a pooled reused graph — scalar vs SIMD
+//!    tokens/sec. Both backends run the same seed and must agree on the
+//!    loss to 1e-4 at every step.
 //!
 //! Results land in `BENCH_kernels.json` at the repo root.
 //!
@@ -20,8 +18,8 @@
 //!   (add `--write-floors` to regenerate `KERNEL_FLOORS.json` from this
 //!   machine's measurements, at 0.6x so CI noise never trips a fresh floor)
 //! CI smoke: `cargo run -p start-bench --release --bin bench_kernels -- --smoke`
-//! (correctness on tiny shapes, then the perf-regression gate: per-kernel
-//! speedup vs the reference loops must hold the committed
+//! (SIMD-vs-scalar agreement on tiny shapes, then the perf-regression gate:
+//! per-kernel SIMD speedup over scalar must hold the committed
 //! `KERNEL_FLOORS.json` figures minus 10% slack.)
 
 use std::fmt::Write as _;
@@ -36,30 +34,6 @@ use start_nn::graph::Graph;
 use start_nn::layers::TransformerEncoderLayer;
 use start_nn::params::{GradStore, ParamStore};
 use start_nn::BufferPool;
-
-// ---------------------------------------------------------------------------
-// The "before" side: the pre-blocking zero-skip kernels preserved verbatim
-// in `start_nn::array::reference`.
-
-fn naive_matmul(a: &Array, b: &Array) -> Array {
-    let mut out = Array::zeros(a.shape().0, b.shape().1);
-    array::reference::matmul_into(a, b, &mut out);
-    out
-}
-
-fn naive_matmul_bt(a: &Array, b: &Array) -> Array {
-    let mut out = Array::zeros(a.shape().0, b.shape().0);
-    array::reference::matmul_bt_into(a, b, &mut out);
-    out
-}
-
-fn naive_matmul_at(a: &Array, b: &Array) -> Array {
-    let mut out = Array::zeros(a.shape().1, b.shape().1);
-    array::reference::matmul_at_into(a, b, &mut out);
-    out
-}
-
-// ---------------------------------------------------------------------------
 
 fn fill(rows: usize, cols: usize, seed: f32) -> Array {
     Array::from_fn(rows, cols, |r, c| ((r * cols + c) as f32 * 0.61 + seed).sin())
@@ -99,83 +73,86 @@ fn with_backend<T>(kind: BackendKind, f: impl FnOnce() -> T) -> T {
 
 const KERNELS: [&str; 3] = ["matmul", "matmul_bt", "matmul_at"];
 
+/// The backends this host can run: scalar always, SIMD when detected.
+fn backends() -> Vec<BackendKind> {
+    std::iter::once(BackendKind::Scalar).chain(backend::simd().map(|_| BackendKind::Simd)).collect()
+}
+
+/// Operands of one `(m, k, n)` shape for every kernel, built once so timed
+/// closures measure only the kernel.
+struct Operands {
+    a: Array,
+    b: Array,
+    bt: Array,
+    at: Array,
+}
+
+impl Operands {
+    fn new(m: usize, k: usize, n: usize) -> Self {
+        Operands {
+            a: fill(m, k, 0.1),
+            b: fill(k, n, 0.7),
+            bt: fill(n, k, 0.7),
+            at: fill(k, m, 0.1),
+        }
+    }
+
+    fn run(&self, kernel: &str) -> Array {
+        match kernel {
+            "matmul" => array::matmul(&self.a, &self.b),
+            "matmul_bt" => array::matmul_bt(&self.a, &self.bt),
+            _ => array::matmul_at(&self.at, &self.b),
+        }
+    }
+}
+
+/// GFLOP/s of `kernel` at `(m, k, n)` on the scalar backend and, where the
+/// host supports it, the SIMD backend.
+fn time_kernel(kernel: &str, m: usize, k: usize, n: usize, window: f64) -> (f64, Option<f64>) {
+    let ops = Operands::new(m, k, n);
+    let flops = 2.0 * m as f64 * k as f64 * n as f64;
+    let time = |kind| with_backend(kind, || gflops_windowed(flops, window, || ops.run(kernel)));
+    (time(BackendKind::Scalar), backend::simd().map(|_| time(BackendKind::Simd)))
+}
+
 struct KernelRow {
     kernel: &'static str,
     m: usize,
     k: usize,
     n: usize,
-    gflops_reference: f64,
     gflops_scalar: f64,
     gflops_simd: Option<f64>,
 }
 
 impl KernelRow {
-    fn speedup(&self, kind: BackendKind) -> f64 {
-        match kind {
-            BackendKind::Scalar => self.gflops_scalar / self.gflops_reference,
-            BackendKind::Simd => self.gflops_simd.map_or(0.0, |g| g / self.gflops_reference),
-        }
+    fn simd_speedup(&self) -> Option<f64> {
+        self.gflops_simd.map(|g| g / self.gflops_scalar)
     }
 }
 
 fn bench_kernel_shapes(shapes: &[(usize, usize, usize)], window: f64) -> Vec<KernelRow> {
     let mut rows = Vec::new();
     for &(m, k, n) in shapes {
-        let flops = 2.0 * m as f64 * k as f64 * n as f64;
         for kernel in KERNELS {
-            // Inputs are rebuilt per call inside `run_kernel`; build them
-            // once out here so the timed closure measures only the kernel.
-            let (a, b, bt, at) =
-                (fill(m, k, 0.1), fill(k, n, 0.7), fill(n, k, 0.7), fill(k, m, 0.1));
-            let timed: Box<dyn FnMut() -> Array> = match kernel {
-                "matmul" => Box::new(|| array::matmul(&a, &b)),
-                "matmul_bt" => Box::new(|| array::matmul_bt(&a, &bt)),
-                _ => Box::new(|| array::matmul_at(&at, &b)),
-            };
-            let mut timed = timed;
-            let reference = match kernel {
-                "matmul" => gflops_windowed(flops, window, || naive_matmul(&a, &b)),
-                "matmul_bt" => gflops_windowed(flops, window, || naive_matmul_bt(&a, &bt)),
-                _ => gflops_windowed(flops, window, || naive_matmul_at(&at, &b)),
-            };
-            let scalar =
-                with_backend(BackendKind::Scalar, || gflops_windowed(flops, window, &mut timed));
-            let simd = backend::simd().map(|_| {
-                with_backend(BackendKind::Simd, || gflops_windowed(flops, window, &mut timed))
-            });
-            rows.push(KernelRow {
-                kernel,
-                m,
-                k,
-                n,
-                gflops_reference: reference,
-                gflops_scalar: scalar,
-                gflops_simd: simd,
-            });
+            let (gflops_scalar, gflops_simd) = time_kernel(kernel, m, k, n, window);
+            rows.push(KernelRow { kernel, m, k, n, gflops_scalar, gflops_simd });
         }
     }
     rows
 }
 
-/// Assert both shipped backends agree with the naive references on one shape.
+/// Assert the SIMD backend agrees with the scalar baseline on one shape (a
+/// no-op on hosts without AVX2+FMA).
 fn check_kernels_agree(m: usize, k: usize, n: usize) {
-    let mut kinds = vec![BackendKind::Scalar];
-    if backend::simd().is_some() {
-        kinds.push(BackendKind::Simd);
+    if backend::simd().is_none() {
+        return;
     }
-    for kind in kinds {
-        with_backend(kind, || {
-            let a = fill(m, k, 0.3);
-            let b = fill(k, n, 0.9);
-            let d = max_abs_diff(&naive_matmul(&a, &b), &array::matmul(&a, &b));
-            assert!(d <= 1e-4, "{kind:?} matmul diverged from reference: {d}");
-            let bt = fill(n, k, 0.9);
-            let d = max_abs_diff(&naive_matmul_bt(&a, &bt), &array::matmul_bt(&a, &bt));
-            assert!(d <= 1e-4, "{kind:?} matmul_bt diverged from reference: {d}");
-            let at = fill(k, m, 0.3);
-            let d = max_abs_diff(&naive_matmul_at(&at, &b), &array::matmul_at(&at, &b));
-            assert!(d <= 1e-4, "{kind:?} matmul_at diverged from reference: {d}");
-        });
+    let ops = Operands::new(m, k, n);
+    for kernel in KERNELS {
+        let scalar = with_backend(BackendKind::Scalar, || ops.run(kernel));
+        let simd = with_backend(BackendKind::Simd, || ops.run(kernel));
+        let d = max_abs_diff(&scalar, &simd);
+        assert!(d <= 1e-4, "simd {kernel} {m}x{k}x{n} diverged from scalar: {d}");
     }
 }
 
@@ -187,7 +164,7 @@ const FLOORS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../KERNEL_FLO
 
 /// Gate slack: a measured speedup may undershoot its floor by this fraction
 /// before the gate fails (CI machines are noisy; real regressions are not
-/// 10% events — the SIMD kernels sit 2–30x above the reference loops).
+/// 10% events — the SIMD kernels sit 2–10x above the scalar ones).
 const FLOOR_SLACK: f64 = 0.10;
 
 struct Floor {
@@ -195,7 +172,6 @@ struct Floor {
     m: usize,
     k: usize,
     n: usize,
-    backend: BackendKind,
     min_speedup: f64,
 }
 
@@ -219,27 +195,21 @@ fn json_num_field(line: &str, key: &str) -> Option<f64> {
 fn parse_floors(json: &str) -> Vec<Floor> {
     json.lines()
         .filter_map(|line| {
-            let kernel = json_str_field(line, "kernel")?;
-            let backend = match json_str_field(line, "backend")?.as_str() {
-                "scalar" => BackendKind::Scalar,
-                "simd" => BackendKind::Simd,
-                other => panic!("KERNEL_FLOORS.json: unknown backend {other:?}"),
-            };
             Some(Floor {
-                kernel,
+                kernel: json_str_field(line, "kernel")?,
                 m: json_num_field(line, "m")? as usize,
                 k: json_num_field(line, "k")? as usize,
                 n: json_num_field(line, "n")? as usize,
-                backend,
-                min_speedup: json_num_field(line, "min_speedup_vs_reference")?,
+                min_speedup: json_num_field(line, "min_simd_speedup_vs_scalar")?,
             })
         })
         .collect()
 }
 
-/// The CI perf-regression gate: re-measure every floored (kernel, shape,
-/// backend) with short timing windows and fail on any speedup-vs-reference
-/// more than [`FLOOR_SLACK`] below its committed floor.
+/// The CI perf-regression gate: re-measure every floored (kernel, shape)
+/// with short timing windows and fail on any SIMD-over-scalar speedup more
+/// than [`FLOOR_SLACK`] below its committed floor. Hosts without SIMD have
+/// nothing to gate.
 fn check_floors() {
     let json = std::fs::read_to_string(FLOORS_PATH).unwrap_or_else(|e| {
         panic!(
@@ -249,53 +219,24 @@ fn check_floors() {
     });
     let floors = parse_floors(&json);
     assert!(!floors.is_empty(), "KERNEL_FLOORS.json contains no floor entries");
+    if backend::simd().is_none() {
+        println!("  perf floors skipped: {} floors, simd unavailable", floors.len());
+        return;
+    }
 
-    let simd_available = backend::simd().is_some();
-    let mut checked = 0usize;
-    let mut skipped = 0usize;
     let mut failures = Vec::new();
     for f in &floors {
-        if f.backend == BackendKind::Simd && !simd_available {
-            skipped += 1;
-            continue;
-        }
-        let flops = 2.0 * f.m as f64 * f.k as f64 * f.n as f64;
         // Short windows keep the whole gate around a second; the floors are
         // set far enough below real throughput that this noise is absorbed.
-        // Inputs are built once so both sides time only the kernel.
-        let window = 0.02;
-        let (a, b, bt, at) =
-            (fill(f.m, f.k, 0.1), fill(f.k, f.n, 0.7), fill(f.n, f.k, 0.7), fill(f.k, f.m, 0.1));
-        let (reference, current) = match f.kernel.as_str() {
-            "matmul" => (
-                gflops_windowed(flops, window, || naive_matmul(&a, &b)),
-                with_backend(f.backend, || {
-                    gflops_windowed(flops, window, || array::matmul(&a, &b))
-                }),
-            ),
-            "matmul_bt" => (
-                gflops_windowed(flops, window, || naive_matmul_bt(&a, &bt)),
-                with_backend(f.backend, || {
-                    gflops_windowed(flops, window, || array::matmul_bt(&a, &bt))
-                }),
-            ),
-            _ => (
-                gflops_windowed(flops, window, || naive_matmul_at(&at, &b)),
-                with_backend(f.backend, || {
-                    gflops_windowed(flops, window, || array::matmul_at(&at, &b))
-                }),
-            ),
-        };
-        let speedup = current / reference;
-        checked += 1;
+        let (scalar, simd) = time_kernel(&f.kernel, f.m, f.k, f.n, 0.02);
+        let speedup = simd.expect("simd available") / scalar;
         if speedup < f.min_speedup * (1.0 - FLOOR_SLACK) {
             failures.push(format!(
-                "{} {}x{}x{} [{:?}]: speedup {:.2}x below floor {:.2}x (slack {:.0}%)",
+                "{} {}x{}x{}: simd speedup {:.2}x below floor {:.2}x (slack {:.0}%)",
                 f.kernel,
                 f.m,
                 f.k,
                 f.n,
-                f.backend,
                 speedup,
                 f.min_speedup,
                 FLOOR_SLACK * 100.0
@@ -307,42 +248,35 @@ fn check_floors() {
         "kernel perf-regression gate failed:\n  {}",
         failures.join("\n  ")
     );
-    println!(
-        "  perf floors held: {checked} checked, {skipped} skipped \
-         (simd {}available)",
-        if simd_available { "" } else { "un" }
-    );
+    println!("  perf floors held: {} checked", floors.len());
 }
 
 fn write_floors(rows: &[KernelRow]) {
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"note\": \"perf-regression floors for bench_kernels --smoke: \
-         speedup vs the zero-skip reference loops, set at 0.6x of a clean \
-         measurement; the gate allows a further {:.0}% slack\",",
-        FLOOR_SLACK * 100.0
-    );
-    let _ = writeln!(json, "  \"floors\": [");
-    let mut entries = Vec::new();
-    for r in rows {
-        let mut push = |backend: &str, speedup: f64| {
-            entries.push(format!(
+    let entries: Vec<String> = rows
+        .iter()
+        .filter_map(|r| {
+            let speedup = r.simd_speedup()?;
+            Some(format!(
                 "    {{\"kernel\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \
-                 \"backend\": \"{}\", \"min_speedup_vs_reference\": {:.2}}}",
+                 \"min_simd_speedup_vs_scalar\": {:.2}}}",
                 r.kernel,
                 r.m,
                 r.k,
                 r.n,
-                backend,
                 (speedup * 0.6).max(0.5)
-            ));
-        };
-        push("scalar", r.speedup(BackendKind::Scalar));
-        if r.gflops_simd.is_some() {
-            push("simd", r.speedup(BackendKind::Simd));
-        }
-    }
+            ))
+        })
+        .collect();
+    assert!(!entries.is_empty(), "--write-floors needs the simd backend on this host");
+    let mut json = String::from("{\n");
+    let _ = writeln!(
+        json,
+        "  \"note\": \"perf-regression floors for bench_kernels --smoke: simd speedup over \
+         the scalar backend, set at 0.6x of a clean measurement; the gate allows a further \
+         {:.0}% slack\",",
+        FLOOR_SLACK * 100.0
+    );
+    let _ = writeln!(json, "  \"floors\": [");
     json.push_str(&entries.join(",\n"));
     json.push_str("\n  ]\n}\n");
     std::fs::write(FLOORS_PATH, &json).expect("write KERNEL_FLOORS.json");
@@ -357,20 +291,14 @@ struct EncoderBench {
     heads: usize,
     ffn_hidden: usize,
     steps: usize,
-    tokens_per_sec_main: f64,
     tokens_per_sec_scalar: f64,
     tokens_per_sec_simd: Option<f64>,
     max_loss_diff: f32,
 }
 
 impl EncoderBench {
-    /// The headline figure: best available backend over "current main".
-    fn best_tokens_per_sec(&self) -> f64 {
-        self.tokens_per_sec_simd.unwrap_or(self.tokens_per_sec_scalar)
-    }
-
-    fn speedup(&self) -> f64 {
-        self.best_tokens_per_sec() / self.tokens_per_sec_main
+    fn simd_speedup(&self) -> Option<f64> {
+        self.tokens_per_sec_simd.map(|t| t / self.tokens_per_sec_scalar)
     }
 }
 
@@ -392,15 +320,11 @@ fn encoder_setup(t: usize, dim: usize, heads: usize, ffn_hidden: usize) -> Encod
 }
 
 /// One forward + backward through the encoder layer; returns the loss.
-fn encoder_step(setup: &EncoderSetup, g: &mut Graph, fused: bool) -> f32 {
+fn encoder_step(setup: &EncoderSetup, g: &mut Graph) -> f32 {
     let mut rng = StdRng::seed_from_u64(99);
     let x = g.input(setup.x.clone());
     let bias = g.input(setup.bias.clone());
-    let y = if fused {
-        setup.layer.forward(g, x, Some(bias), &mut rng)
-    } else {
-        setup.layer.forward_unfused(g, x, Some(bias), &mut rng)
-    };
+    let y = setup.layer.forward(g, x, Some(bias), &mut rng);
     let sq = g.mul(y, y);
     let loss = g.mean_all(sq);
     let mut grads = GradStore::new(&setup.store);
@@ -416,72 +340,40 @@ fn bench_encoder(
     steps: usize,
 ) -> EncoderBench {
     let setup = encoder_setup(t, dim, heads, ffn_hidden);
-    let simd_available = backend::simd().is_some();
+    let kinds = backends();
 
-    // The paths are timed in interleaved rounds and scored by their fastest
-    // round, so slow-timer noise (frequency scaling, co-tenant interference
-    // on shared machines) hits every side equally instead of whichever path
-    // happened to run second.
+    // The backends are timed in interleaved rounds and scored by their
+    // fastest round, so slow-timer noise (frequency scaling, co-tenant
+    // interference on shared machines) hits every side equally instead of
+    // whichever backend happened to run second.
     const ROUNDS: usize = 6;
     let chunk = steps.div_ceil(ROUNDS).max(1);
-    let mut main_losses = Vec::new();
-    let mut scalar_losses = Vec::new();
-    let mut simd_losses = Vec::new();
-    let mut best_main = f64::INFINITY;
-    let mut best_scalar = f64::INFINITY;
-    let mut best_simd = f64::INFINITY;
+    let mut losses = vec![Vec::new(); kinds.len()];
+    let mut best = vec![f64::INFINITY; kinds.len()];
     let mut pool = BufferPool::new();
     for _ in 0..ROUNDS {
-        // "Current main": zero-skip reference kernels, per-head attention
-        // tape, a fresh graph every step.
-        array::set_reference_kernels(true);
-        let t0 = Instant::now();
-        for _ in 0..chunk {
-            let mut g = Graph::new(&setup.store, true);
-            main_losses.push(encoder_step(&setup, &mut g, false));
-        }
-        best_main = best_main.min(t0.elapsed().as_secs_f64());
-        array::set_reference_kernels(false);
-
-        // Blocked scalar backend: fused attention op, pooled reused graph.
-        pool = with_backend(BackendKind::Scalar, || {
-            let mut pool = pool;
-            let t1 = Instant::now();
-            for _ in 0..chunk {
-                let mut g = Graph::with_pool(&setup.store, true, pool);
-                scalar_losses.push(encoder_step(&setup, &mut g, true));
-                pool = g.into_pool();
-            }
-            best_scalar = best_scalar.min(t1.elapsed().as_secs_f64());
-            pool
-        });
-
-        // SIMD backend, same fused + pooled configuration.
-        if simd_available {
-            pool = with_backend(BackendKind::Simd, || {
+        for (i, &kind) in kinds.iter().enumerate() {
+            pool = with_backend(kind, || {
                 let mut pool = pool;
-                let t2 = Instant::now();
+                let t0 = Instant::now();
                 for _ in 0..chunk {
                     let mut g = Graph::with_pool(&setup.store, true, pool);
-                    simd_losses.push(encoder_step(&setup, &mut g, true));
+                    losses[i].push(encoder_step(&setup, &mut g));
                     pool = g.into_pool();
                 }
-                best_simd = best_simd.min(t2.elapsed().as_secs_f64());
+                best[i] = best[i].min(t0.elapsed().as_secs_f64());
                 pool
             });
         }
     }
 
-    let mut max_loss_diff = 0.0f32;
-    for (i, a) in main_losses.iter().enumerate() {
-        assert!(a.is_finite(), "encoder loss went non-finite");
-        for other in [&scalar_losses, &simd_losses] {
-            if let Some(b) = other.get(i) {
-                assert!(b.is_finite(), "encoder loss went non-finite");
-                max_loss_diff = max_loss_diff.max((a - b).abs());
-            }
+    assert!(losses.iter().flatten().all(|l| l.is_finite()), "encoder loss went non-finite");
+    let max_loss_diff = match &losses[..] {
+        [scalar, simd] => {
+            scalar.iter().zip(simd).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max)
         }
-    }
+        _ => 0.0,
+    };
     assert!(max_loss_diff <= 1e-4, "encoder losses diverged across backends: {max_loss_diff}");
 
     let tokens = (t * chunk) as f64;
@@ -491,40 +383,47 @@ fn bench_encoder(
         heads,
         ffn_hidden,
         steps: chunk * ROUNDS,
-        tokens_per_sec_main: tokens / best_main,
-        tokens_per_sec_scalar: tokens / best_scalar,
-        tokens_per_sec_simd: simd_available.then(|| tokens / best_simd),
+        tokens_per_sec_scalar: tokens / best[0],
+        tokens_per_sec_simd: best.get(1).map(|b| tokens / b),
         max_loss_diff,
     }
 }
 
-/// CI pass: correctness on tiny shapes, then the perf-regression gate.
+/// CI pass: SIMD-vs-scalar agreement on tiny shapes, pooled reuse, then the
+/// perf-regression gate.
 fn smoke() {
     check_kernels_agree(5, 7, 3);
     check_kernels_agree(8, 8, 8);
 
     let setup = encoder_setup(8, 16, 4, 32);
-    let mut g1 = Graph::new(&setup.store, true);
-    let unfused = encoder_step(&setup, &mut g1, false);
-    let mut g2 = Graph::new(&setup.store, true);
-    let fused = encoder_step(&setup, &mut g2, true);
-    assert!(unfused.is_finite() && fused.is_finite(), "smoke losses must be finite");
-    assert!(
-        (unfused - fused).abs() <= 1e-5,
-        "smoke: fused {fused} vs unfused {unfused} loss mismatch"
-    );
-
-    // Pooled reuse must reproduce the fresh-graph loss bitwise.
-    let mut pool = BufferPool::new();
-    for _ in 0..2 {
-        let mut g = Graph::with_pool(&setup.store, true, pool);
-        let pooled = encoder_step(&setup, &mut g, true);
-        assert_eq!(pooled.to_bits(), fused.to_bits(), "pooled graph changed the loss");
-        pool = g.into_pool();
+    let mut fresh = Vec::new();
+    for kind in backends() {
+        let loss = with_backend(kind, || {
+            let mut g = Graph::new(&setup.store, true);
+            let loss = encoder_step(&setup, &mut g);
+            assert!(loss.is_finite(), "{kind:?}: smoke loss must be finite");
+            // Pooled reuse must reproduce the fresh-graph loss bitwise.
+            let mut pool = BufferPool::new();
+            for _ in 0..2 {
+                let mut g = Graph::with_pool(&setup.store, true, pool);
+                let pooled = encoder_step(&setup, &mut g);
+                assert_eq!(
+                    pooled.to_bits(),
+                    loss.to_bits(),
+                    "{kind:?}: pooled graph changed the loss"
+                );
+                pool = g.into_pool();
+            }
+            loss
+        });
+        fresh.push(loss);
+    }
+    if let [scalar, simd] = fresh[..] {
+        assert!((scalar - simd).abs() <= 1e-5, "smoke: simd loss {simd} vs scalar {scalar}");
     }
 
     check_floors();
-    println!("bench_kernels --smoke: kernels agree, pooled reuse stable, perf floors held");
+    println!("bench_kernels --smoke: backends agree, pooled reuse stable, perf floors held");
 }
 
 fn main() {
@@ -542,60 +441,48 @@ fn main() {
 
     let shapes = [(64, 64, 64), (128, 256, 64), (256, 64, 256)];
     let rows = bench_kernel_shapes(&shapes, 0.08);
+    let fmt_opt = |v: Option<f64>, prec: usize| {
+        v.map_or_else(|| "n/a".to_string(), |g| format!("{g:.prec$}"))
+    };
     for r in &rows {
-        let simd = r.gflops_simd.map_or_else(|| "     n/a".to_string(), |g| format!("{g:8.2}"));
         println!(
-            "  {:<10} {:>3}x{:<3}x{:<3}: ref {:6.2}  scalar {:6.2} ({:4.2}x)  simd {simd} ({:5.2}x) GFLOP/s",
+            "  {:<10} {:>3}x{:<3}x{:<3}: scalar {:6.2}  simd {:>6} ({:>5}x) GFLOP/s",
             r.kernel,
             r.m,
             r.k,
             r.n,
-            r.gflops_reference,
             r.gflops_scalar,
-            r.speedup(BackendKind::Scalar),
-            r.speedup(BackendKind::Simd),
+            fmt_opt(r.gflops_simd, 2),
+            fmt_opt(r.simd_speedup(), 2),
         );
     }
-    // No shape class may lose to the pre-blocking reference loops — the
-    // dispatch thresholds exist precisely so small shapes fall back to the
-    // cheapest kernel instead of paying packing overhead.
+    // The SIMD backend exists to beat the portable one: no shape class may
+    // lose to it (the dispatch thresholds route small shapes to whichever
+    // kernel is cheapest).
     for r in &rows {
-        assert!(
-            r.speedup(BackendKind::Scalar) >= 1.0,
-            "{} {}x{}x{} scalar backend slower than reference: {:.3}x",
-            r.kernel,
-            r.m,
-            r.k,
-            r.n,
-            r.speedup(BackendKind::Scalar)
-        );
-        if r.gflops_simd.is_some() {
+        if let Some(speedup) = r.simd_speedup() {
             assert!(
-                r.speedup(BackendKind::Simd) >= 1.0,
-                "{} {}x{}x{} simd backend slower than reference: {:.3}x",
+                speedup >= 1.0,
+                "{} {}x{}x{} simd backend slower than scalar: {speedup:.3}x",
                 r.kernel,
                 r.m,
                 r.k,
-                r.n,
-                r.speedup(BackendKind::Simd)
+                r.n
             );
         }
     }
 
     let enc = bench_encoder(256, 64, 4, 128, 30);
     println!(
-        "\n  encoder layer T={} d={} h={} ffn={} ({} steps, fwd+bwd):",
+        "\n  encoder layer T={} d={} h={} ffn={} ({} steps, fwd+bwd, fused op, pooled graph):",
         enc.t, enc.dim, enc.heads, enc.ffn_hidden, enc.steps
     );
     println!(
-        "    main (zero-skip kernels, per-head tape, fresh graphs): {:8.0} tokens/s\n    \
-         scalar backend (blocked kernels, fused op, pooled graph): {:8.0} tokens/s\n    \
-         simd backend   (avx2+fma kernels, fused op, pooled graph): {} tokens/s\n    \
-         speedup: {:.2}x (max loss diff {:.2e})",
-        enc.tokens_per_sec_main,
+        "    scalar backend: {:8.0} tokens/s\n    simd backend:   {:>8} tokens/s\n    \
+         speedup: {}x (max loss diff {:.2e})",
         enc.tokens_per_sec_scalar,
-        enc.tokens_per_sec_simd.map_or_else(|| "     n/a".to_string(), |t| format!("{t:8.0}")),
-        enc.speedup(),
+        fmt_opt(enc.tokens_per_sec_simd, 0),
+        fmt_opt(enc.simd_speedup(), 2),
         enc.max_loss_diff
     );
 
@@ -603,23 +490,23 @@ fn main() {
     let _ = writeln!(json, "  \"bench\": \"kernel_throughput\",");
     let _ = writeln!(json, "  \"machine_cores\": {cores},");
     let _ = writeln!(json, "  \"simd\": \"{simd_name}\",");
+    let _ = writeln!(json, "  \"baseline\": \"scalar\",");
     let _ = writeln!(json, "  \"kernels\": [");
+    let json_opt = |v: Option<f64>, prec: usize| {
+        v.map_or_else(|| "null".to_string(), |g| format!("{g:.prec$}"))
+    };
     for (i, r) in rows.iter().enumerate() {
-        let simd = r.gflops_simd.map_or_else(|| "null".to_string(), |g| format!("{g:.3}"));
         let _ = writeln!(
             json,
             "    {{\"kernel\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \
-             \"gflops_reference\": {:.3}, \"gflops_scalar\": {:.3}, \"gflops_simd\": {}, \
-             \"scalar_speedup\": {:.3}, \"simd_speedup\": {:.3}}}{}",
+             \"gflops_scalar\": {:.3}, \"gflops_simd\": {}, \"simd_speedup\": {}}}{}",
             r.kernel,
             r.m,
             r.k,
             r.n,
-            r.gflops_reference,
             r.gflops_scalar,
-            simd,
-            r.speedup(BackendKind::Scalar),
-            r.speedup(BackendKind::Simd),
+            json_opt(r.gflops_simd, 3),
+            json_opt(r.simd_speedup(), 3),
             if i + 1 < rows.len() { "," } else { "" }
         );
     }
@@ -630,15 +517,15 @@ fn main() {
         "    \"t\": {}, \"dim\": {}, \"heads\": {}, \"ffn_hidden\": {},",
         enc.t, enc.dim, enc.heads, enc.ffn_hidden
     );
-    let _ = writeln!(json, "    \"steps\": {}, \"direction\": \"forward+backward\",", enc.steps);
-    let _ = writeln!(json, "    \"tokens_per_sec_main\": {:.1},", enc.tokens_per_sec_main);
-    let _ = writeln!(json, "    \"tokens_per_sec_scalar\": {:.1},", enc.tokens_per_sec_scalar);
     let _ = writeln!(
         json,
-        "    \"tokens_per_sec_simd\": {},",
-        enc.tokens_per_sec_simd.map_or_else(|| "null".to_string(), |t| format!("{t:.1}"))
+        "    \"steps\": {}, \"direction\": \"forward+backward\", \"tape\": \"fused+pooled\",",
+        enc.steps
     );
-    let _ = writeln!(json, "    \"speedup_vs_main\": {:.3},", enc.speedup());
+    let _ = writeln!(json, "    \"tokens_per_sec_scalar\": {:.1},", enc.tokens_per_sec_scalar);
+    let _ =
+        writeln!(json, "    \"tokens_per_sec_simd\": {},", json_opt(enc.tokens_per_sec_simd, 1));
+    let _ = writeln!(json, "    \"simd_speedup\": {},", json_opt(enc.simd_speedup(), 3));
     let _ = writeln!(json, "    \"max_loss_diff\": {:.3e}", enc.max_loss_diff);
     let _ = writeln!(json, "  }}");
     json.push_str("}\n");

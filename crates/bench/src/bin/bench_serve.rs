@@ -23,7 +23,7 @@
 //!    on a uniform-random stream — grows with the replica count; on this
 //!    single-core host that cache economics, not extra silicon, is the
 //!    entire speedup. Floors: ≥ 1.7× at 2 replicas, ≥ 3× at 4. Each point
-//!    runs as an isolated child process through the `start_serve::sweep`
+//!    runs as an isolated child process through the `start_bench::sweep`
 //!    orchestrator (cold caches, own allocator arena), points run
 //!    sequentially so timed children never contend for the core.
 //! 5. **hot swap audit** — a request stream submitted to a 2-replica
@@ -43,11 +43,10 @@ use start_sync::Arc;
 use std::fmt::Write as _;
 use std::time::Duration;
 
+use start_bench::sweep::{emit_result, run_sweep, SweepJob};
 use start_bench::{bj_mini, start_config, timed, Scale};
 use start_core::{EncodeOptions, StartModel};
-use start_serve::{
-    emit_result, run_sweep, Router, RouterConfig, ServeConfig, ServiceStats, SweepJob,
-};
+use start_serve::{Router, RouterConfig, ServeConfig, ServiceStats};
 use start_traj::Trajectory;
 
 struct Figures {

@@ -78,7 +78,8 @@ fn main() {
     ]);
 
     // Classical measures: full scan per query with O(L^2) comparisons.
-    let classic: Vec<(&str, Box<dyn Fn(&[Point], &[Point]) -> f64>)> = vec![
+    type Measure = Box<dyn Fn(&[Point], &[Point]) -> f64>;
+    let classic: Vec<(&str, Measure)> = vec![
         ("DTW", Box::new(dtw)),
         ("LCSS", Box::new(|a, b| lcss(a, b, 150.0))),
         ("Frechet", Box::new(frechet)),

@@ -44,9 +44,7 @@ fn main() {
     }
     for i in 0..4 {
         let mut row = vec![short(augs[i]).to_string()];
-        for j in 0..4 {
-            row.push(format!("{:.2}", grid[i][j]));
-        }
+        row.extend(grid[i].iter().map(|m| format!("{m:.2}")));
         table.row(row);
     }
     table.print();

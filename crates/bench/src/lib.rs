@@ -6,6 +6,7 @@
 pub mod datasets;
 pub mod report;
 pub mod scale;
+pub mod sweep;
 pub mod zoo;
 
 pub use datasets::{bj_mini, driver_labels, geolife_mini, porto_mini};

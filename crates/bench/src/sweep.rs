@@ -1,10 +1,10 @@
-//! The parent/child sweep orchestrator (ROADMAP item 2).
+//! The parent/child sweep orchestrator.
 //!
 //! A sweep fans train/eval configurations out to child processes — one
 //! per [`SweepJob`] — and merges their results in job order. The protocol
 //! is the serverless-lambda parent/child pattern: the parent re-invokes a
 //! program (typically its own executable, dispatching on a flag argument)
-//! with per-job arguments and environment overrides; the child does its
+//! with per-job arguments; the child does its
 //! work and prints exactly one `SWEEP_RESULT <payload>` line to stdout
 //! via [`emit_result`]; the parent captures stdout, extracts the marked
 //! line, and returns the payloads as [`SweepRun`]s. Everything else a
@@ -27,33 +27,19 @@ use std::process::{Command, Stdio};
 /// The stdout marker a child prefixes its result payload with.
 pub const RESULT_MARKER: &str = "SWEEP_RESULT ";
 
-/// One child configuration: a display name, the argv tail passed to the
-/// program, and environment overrides applied on top of the parent's
-/// environment.
+/// One child configuration: a display name and the argv tail passed to the
+/// program. Children inherit the parent's environment.
 #[derive(Debug, Clone)]
 pub struct SweepJob {
     /// Label carried into the matching [`SweepRun`] and error messages.
     pub name: String,
     /// Arguments appended to the program invocation.
     pub args: Vec<String>,
-    /// `(key, value)` environment overrides for this child.
-    pub envs: Vec<(String, String)>,
 }
 
 impl SweepJob {
-    /// A job with no environment overrides.
     pub fn new(name: impl Into<String>, args: impl IntoIterator<Item = impl Into<String>>) -> Self {
-        Self {
-            name: name.into(),
-            args: args.into_iter().map(Into::into).collect(),
-            envs: Vec::new(),
-        }
-    }
-
-    /// Add one environment override.
-    pub fn env(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.envs.push((key.into(), value.into()));
-        self
+        Self { name: name.into(), args: args.into_iter().map(Into::into).collect() }
     }
 }
 
@@ -115,9 +101,6 @@ pub fn run_sweep(program: &Path, jobs: &[SweepJob]) -> Result<Vec<SweepRun>, Swe
     for job in jobs {
         let mut cmd = Command::new(program);
         cmd.args(&job.args).stdout(Stdio::piped()).stderr(Stdio::piped());
-        for (k, v) in &job.envs {
-            cmd.env(k, v);
-        }
         match cmd.spawn() {
             Ok(child) => children.push(child),
             Err(e) => {
@@ -183,9 +166,8 @@ mod tests {
     }
 
     #[test]
-    fn job_builder_collects_args_and_envs() {
-        let job = SweepJob::new("j", ["--flag", "3"]).env("K", "v");
+    fn job_builder_collects_args() {
+        let job = SweepJob::new("j", ["--flag", "3"]);
         assert_eq!(job.args, vec!["--flag".to_string(), "3".to_string()]);
-        assert_eq!(job.envs, vec![("K".to_string(), "v".to_string())]);
     }
 }

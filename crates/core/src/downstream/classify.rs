@@ -15,7 +15,7 @@ use start_nn::graph::Graph;
 use start_nn::layers::Linear;
 use start_nn::params::GradStore;
 use start_nn::train::{BatchTrainer, ShardResult};
-use start_nn::{AdamW, AdamWConfig, WarmupCosine};
+use start_nn::{AdamW, AdamWConfig, Findings, WarmupCosine};
 use start_traj::{TrajView, Trajectory};
 
 use crate::downstream::FineTuneConfig;

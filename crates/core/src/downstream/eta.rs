@@ -13,7 +13,7 @@ use start_nn::graph::Graph;
 use start_nn::layers::Linear;
 use start_nn::params::GradStore;
 use start_nn::train::{BatchTrainer, ShardResult};
-use start_nn::{AdamW, AdamWConfig, Array, WarmupCosine};
+use start_nn::{AdamW, AdamWConfig, Array, Findings, WarmupCosine};
 use start_traj::Trajectory;
 
 use crate::downstream::FineTuneConfig;

@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use start_nn::graph::Graph;
 use start_nn::params::GradStore;
 use start_nn::train::{BatchTrainer, PublishCadence, ShardResult};
-use start_nn::{AdamW, AdamWConfig, WarmupCosine};
+use start_nn::{AdamW, AdamWConfig, Findings, WarmupCosine};
 use start_traj::{TrajView, Trajectory};
 
 use crate::model::{clamp_view, StartModel};

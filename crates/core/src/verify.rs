@@ -273,7 +273,8 @@ pub fn broken_families(fix: Arc<VerifyFixture>) -> Vec<Box<dyn TapeFamily>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use start_nn::symbolic::{verify_family, HazardClass, SymFindingKind, DEFAULT_ANCHORS};
+    use start_nn::symbolic::{verify_family, DEFAULT_ANCHORS};
+    use start_nn::{FindingKind, Findings, HazardClass};
 
     /// All four registered families verify with zero Error findings at the
     /// default anchors — the CI gate's contract.
@@ -292,7 +293,7 @@ mod tests {
                 report
                     .findings
                     .iter()
-                    .all(|f| !matches!(f.kind, SymFindingKind::Hazard(HazardClass::LogZero))),
+                    .all(|f| !matches!(f.kind, FindingKind::Hazard(HazardClass::LogZero))),
                 "{} leaked a log-zero hazard:\n{report}",
                 report.family
             );
@@ -312,7 +313,7 @@ mod tests {
                     let f = report
                         .findings
                         .iter()
-                        .find(|f| f.kind == SymFindingKind::RecordPanic)
+                        .find(|f| f.kind == FindingKind::RecordPanic)
                         .unwrap_or_else(|| panic!("no record panic in:\n{report}"));
                     assert!(
                         f.message.contains("matmul shape mismatch"),
@@ -323,7 +324,7 @@ mod tests {
                     let f = report
                         .findings
                         .iter()
-                        .find(|f| f.kind == SymFindingKind::LossDisconnected)
+                        .find(|f| f.kind == FindingKind::LossDisconnected)
                         .unwrap_or_else(|| panic!("no disconnection finding in:\n{report}"));
                     assert!(
                         f.message.contains("stop_gradient"),

@@ -234,91 +234,6 @@ fn parallel_rows(out: &mut [f32], m: usize, n: usize, body: impl Fn(&mut [f32], 
     .unwrap_or_else(|e| std::panic::resume_unwind(e));
 }
 
-/// Routes the matmul family through [`reference`] when set — a bench-only
-/// escape hatch so `bench_kernels` can time this crate's kernels against
-/// the pre-blocking loops in one process. Never enable in production code.
-static REFERENCE_KERNELS: start_sync::atomic::AtomicBool =
-    start_sync::atomic::AtomicBool::new(false);
-
-/// Enable or disable the [`reference`] kernel routing (see
-/// [`REFERENCE_KERNELS`]); returns the previous setting.
-pub fn set_reference_kernels(enabled: bool) -> bool {
-    // relaxed-ok: bench-only escape hatch, flipped before any kernel runs
-    REFERENCE_KERNELS.swap(enabled, start_sync::atomic::Ordering::Relaxed)
-}
-
-#[inline]
-fn reference_kernels() -> bool {
-    // relaxed-ok: bench-only escape hatch, no data published through it
-    REFERENCE_KERNELS.load(start_sync::atomic::Ordering::Relaxed)
-}
-
-/// The pre-blocking matmul family, kept verbatim: branchy zero-skip scalar
-/// loops, single-threaded. `bench_kernels` measures the blocked kernels
-/// against these, and [`set_reference_kernels`] routes the whole tape
-/// through them to reproduce pre-optimization training throughput.
-pub mod reference {
-    use super::Array;
-
-    /// Zero-skip ikj loop, the original [`super::matmul`] inner kernel.
-    pub fn matmul_into(a: &Array, b: &Array, out: &mut Array) {
-        let (m, k) = a.shape();
-        let n = b.cols;
-        for i in 0..m {
-            for p in 0..k {
-                let av = a.data[i * k + p];
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b.data[p * n..(p + 1) * n];
-                let orow = &mut out.data[i * n..(i + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
-        }
-    }
-
-    /// Zero-skip dot-product loop, the original [`super::matmul_bt`] kernel.
-    pub fn matmul_bt_into(a: &Array, b: &Array, out: &mut Array) {
-        let (m, k) = a.shape();
-        let n = b.rows;
-        for i in 0..m {
-            for j in 0..n {
-                let mut s = 0.0;
-                for p in 0..k {
-                    let av = a.data[i * k + p];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    s += av * b.data[j * k + p];
-                }
-                out.data[i * n + j] += s;
-            }
-        }
-    }
-
-    /// Zero-skip column-gather loop, the original [`super::matmul_at`]
-    /// kernel (never had a parallel path).
-    pub fn matmul_at_into(a: &Array, b: &Array, out: &mut Array) {
-        let (k, m) = a.shape();
-        let n = b.cols;
-        for p in 0..k {
-            for i in 0..m {
-                let av = a.data[p * m + i];
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b.data[p * n..(p + 1) * n];
-                let orow = &mut out.data[i * n..(i + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
-        }
-    }
-}
-
 /// `out += a @ b`. `out` must be `(m, n)` and is accumulated into (callers
 /// pass a zeroed buffer for a plain product). Row-major blocked ikj loop,
 /// 4-wide over the inner dimension; shards rows across threads when large.
@@ -326,10 +241,6 @@ pub fn matmul_into(a: &Array, b: &Array, out: &mut Array) {
     assert_eq!(a.cols, b.rows, "matmul shape mismatch {:?} @ {:?}", a.shape(), b.shape());
     let (m, k, n) = (a.rows, a.cols, b.cols);
     assert_eq!(out.shape(), (m, n), "matmul output shape mismatch");
-    if reference_kernels() {
-        reference::matmul_into(a, b, out);
-        return;
-    }
     let be = crate::backend::active();
     if m * k * n >= PARALLEL_FLOPS && m >= 8 {
         let (a, b) = (&a.data, &b.data);
@@ -350,12 +261,6 @@ pub fn matmul_into_ow(a: &Array, b: &Array, out: &mut Array) {
     assert_eq!(a.cols, b.rows, "matmul shape mismatch {:?} @ {:?}", a.shape(), b.shape());
     let (m, k, n) = (a.rows, a.cols, b.cols);
     assert_eq!(out.shape(), (m, n), "matmul output shape mismatch");
-    if reference_kernels() {
-        // The reference kernels accumulate; restore their zeroed-out contract.
-        out.data.fill(0.0);
-        reference::matmul_into(a, b, out);
-        return;
-    }
     let be = crate::backend::active();
     if m * k * n >= PARALLEL_FLOPS && m >= 8 {
         let (a, b) = (&a.data, &b.data);
@@ -441,10 +346,6 @@ pub fn matmul_bt_into(a: &Array, b: &Array, out: &mut Array) {
     assert_eq!(a.cols, b.cols, "matmul_bt shape mismatch {:?} @ {:?}^T", a.shape(), b.shape());
     let (m, k, n) = (a.rows, a.cols, b.rows);
     assert_eq!(out.shape(), (m, n), "matmul_bt output shape mismatch");
-    if reference_kernels() {
-        reference::matmul_bt_into(a, b, out);
-        return;
-    }
     let be = crate::backend::active();
     if m * k * n >= PARALLEL_FLOPS && m >= 8 {
         let (a, b) = (&a.data, &b.data);
@@ -462,11 +363,6 @@ pub fn matmul_bt_into_ow(a: &Array, b: &Array, out: &mut Array) {
     assert_eq!(a.cols, b.cols, "matmul_bt shape mismatch {:?} @ {:?}^T", a.shape(), b.shape());
     let (m, k, n) = (a.rows, a.cols, b.rows);
     assert_eq!(out.shape(), (m, n), "matmul_bt output shape mismatch");
-    if reference_kernels() {
-        out.data.fill(0.0);
-        reference::matmul_bt_into(a, b, out);
-        return;
-    }
     let be = crate::backend::active();
     if m * k * n >= PARALLEL_FLOPS && m >= 8 {
         let (a, b) = (&a.data, &b.data);
@@ -546,10 +442,6 @@ pub fn matmul_at_into(a: &Array, b: &Array, out: &mut Array) {
     assert_eq!(a.rows, b.rows, "matmul_at shape mismatch {:?}^T @ {:?}", a.shape(), b.shape());
     let (m, k, n) = (a.cols, a.rows, b.cols);
     assert_eq!(out.shape(), (m, n), "matmul_at output shape mismatch");
-    if reference_kernels() {
-        reference::matmul_at_into(a, b, out);
-        return;
-    }
     let be = crate::backend::active();
     if m * k * n >= PARALLEL_FLOPS && m >= 8 {
         let (a, b) = (&a.data, &b.data);
@@ -567,11 +459,6 @@ pub fn matmul_at_into_ow(a: &Array, b: &Array, out: &mut Array) {
     assert_eq!(a.rows, b.rows, "matmul_at shape mismatch {:?}^T @ {:?}", a.shape(), b.shape());
     let (m, k, n) = (a.cols, a.rows, b.cols);
     assert_eq!(out.shape(), (m, n), "matmul_at output shape mismatch");
-    if reference_kernels() {
-        out.data.fill(0.0);
-        reference::matmul_at_into(a, b, out);
-        return;
-    }
     let be = crate::backend::active();
     if m * k * n >= PARALLEL_FLOPS && m >= 8 {
         let (a, b) = (&a.data, &b.data);

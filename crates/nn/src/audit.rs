@@ -1,81 +1,20 @@
-//! Static analysis over a built tape.
+//! Checks that need one concrete, recorded tape.
 //!
-//! [`Graph::audit`] re-derives every node's shape from its op and input
-//! shapes — independently of the eager kernels — and flags structural
-//! defects that silently corrupt training without changing tensor shapes:
-//! nodes that can never reach the loss, parameters whose gradients are
-//! guaranteed zero, the same parameter bound to multiple leaves, and dropout
-//! recorded on an eval-mode tape. [`Graph::trace_nonfinite`] is the opt-in
-//! finite-value tracer: it names the *first* op on the tape that produced a
-//! NaN/Inf, with its kind, node id, and input shapes.
+//! [`Graph::audit`] re-derives every node's shape with the symbolic
+//! verifier's shape rules evaluated at this one tape (see
+//! [`crate::symbolic`]), then flags structural defects that silently corrupt
+//! training without changing tensor shapes: nodes that can never reach the
+//! loss, parameters whose gradients are guaranteed zero, the same parameter
+//! bound to multiple leaves, dropout recorded on an eval-mode tape, and
+//! backward operand tables naming non-inputs. [`Graph::trace_nonfinite`] is
+//! the opt-in finite-value tracer: it names the *first* op on the tape that
+//! produced a NaN/Inf, with its kind, node id, and input shapes.
 //!
-//! Severities: [`Severity::Error`] findings mean the tape is internally
-//! inconsistent (a backward sweep would be wrong); `Warning` findings are
-//! almost always bugs in the calling model code; `Info` findings are
-//! legitimate-but-wasteful patterns (e.g. re-binding one parameter many
-//! times, which the repo's layers do once per forward call).
+//! Findings use the crate's one [`Finding`] type; see [`crate::finding`]
+//! for what each severity means.
 
+use crate::finding::{eval_mode_dropout, Finding, FindingKind, Findings};
 use crate::graph::{Graph, NodeId, Op, OpKind};
-
-/// What a finding means for correctness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    Info,
-    Warning,
-    Error,
-}
-
-/// The defect class of a finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FindingKind {
-    /// Re-derived shape disagrees with the eagerly computed value.
-    ShapeMismatch,
-    /// Node cannot reach the loss; it burns compute and gets no gradient.
-    DeadNode,
-    /// Parameter registered in the store but absent from the reachable tape:
-    /// its gradient is guaranteed zero this step.
-    UnreachableParam,
-    /// The same `ParamId` is bound as more than one `Param` leaf. Gradients
-    /// still accumulate correctly, but each leaf clones the tensor.
-    DuplicateParamLeaf,
-    /// A dropout op recorded while the tape is in eval mode.
-    EvalModeDropout,
-    /// The liveness operand table (`Op::backward_value_reads`) names a node
-    /// that is not an input of the op: the memory planner would compute a
-    /// lifetime for an edge that does not exist.
-    BackwardOperandMismatch,
-}
-
-impl FindingKind {
-    pub fn severity(self) -> Severity {
-        match self {
-            FindingKind::ShapeMismatch | FindingKind::BackwardOperandMismatch => Severity::Error,
-            FindingKind::DeadNode
-            | FindingKind::UnreachableParam
-            | FindingKind::EvalModeDropout => Severity::Warning,
-            FindingKind::DuplicateParamLeaf => Severity::Info,
-        }
-    }
-}
-
-/// One defect found by [`Graph::audit`].
-#[derive(Debug, Clone)]
-pub struct Finding {
-    pub kind: FindingKind,
-    /// The offending node, when the finding is about a specific node.
-    pub node: Option<NodeId>,
-    pub message: String,
-}
-
-impl std::fmt::Display for Finding {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{:?}/{:?}] ", self.kind.severity(), self.kind)?;
-        if let Some(n) = self.node {
-            write!(f, "node {}: ", n.index())?;
-        }
-        f.write_str(&self.message)
-    }
-}
 
 /// Result of [`Graph::audit`].
 #[derive(Debug, Default)]
@@ -85,31 +24,15 @@ pub struct AuditReport {
     /// dims), the recorded value's shape is used after consistency checks.
     pub shapes: Vec<(usize, usize)>,
     pub findings: Vec<Finding>,
-    /// Bytes held by all node values at audit time — the same accounting
-    /// [`crate::liveness::MemoryPlan::analyze`] starts from.
-    pub value_bytes: usize,
-    /// Bytes held by saved op payloads (masks, cached softmaxes, norm
-    /// statistics), per the shared `Op::payload_elems` table.
-    pub payload_bytes: usize,
+}
+
+impl Findings for AuditReport {
+    fn findings(&self) -> &[Finding] {
+        &self.findings
+    }
 }
 
 impl AuditReport {
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-
-    pub fn errors(&self) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(|f| f.kind.severity() == Severity::Error)
-    }
-
-    pub fn warnings(&self) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(|f| f.kind.severity() == Severity::Warning)
-    }
-
-    pub fn has_errors(&self) -> bool {
-        self.errors().next().is_some()
-    }
-
     fn push(&mut self, kind: FindingKind, node: Option<NodeId>, message: String) {
         self.findings.push(Finding { kind, node, message });
     }
@@ -118,12 +41,7 @@ impl AuditReport {
 impl std::fmt::Display for AuditReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if self.is_clean() {
-            return write!(
-                f,
-                "audit clean ({} nodes, {:.1} KiB tape)",
-                self.shapes.len(),
-                (self.value_bytes + self.payload_bytes) as f64 / 1024.0
-            );
+            return write!(f, "audit clean ({} nodes)", self.shapes.len());
         }
         writeln!(f, "audit found {} issue(s):", self.findings.len())?;
         for finding in &self.findings {
@@ -178,40 +96,8 @@ impl Graph<'_> {
         let mut report = AuditReport::default();
         assert!(loss.0 < self.nodes.len(), "loss node {} not on this tape", loss.0);
 
-        // 1. Shape re-derivation, op by op.
-        let mut shapes: Vec<(usize, usize)> = Vec::with_capacity(self.nodes.len());
-        for (idx, node) in self.nodes.iter().enumerate() {
-            let actual = node.value.shape();
-            match infer_shape(&node.op, &shapes, actual, self) {
-                Ok(inferred) => {
-                    if inferred != actual {
-                        report.push(
-                            FindingKind::ShapeMismatch,
-                            Some(NodeId(idx)),
-                            format!(
-                                "{}: recorded value is {}x{} but op derivation gives {}x{}",
-                                node.op.kind(),
-                                actual.0,
-                                actual.1,
-                                inferred.0,
-                                inferred.1
-                            ),
-                        );
-                    }
-                    shapes.push(inferred);
-                }
-                Err(msg) => {
-                    report.push(
-                        FindingKind::ShapeMismatch,
-                        Some(NodeId(idx)),
-                        format!("{}: {msg}", node.op.kind()),
-                    );
-                    // Continue downstream with the recorded shape so one
-                    // defect does not cascade into spurious findings.
-                    shapes.push(actual);
-                }
-            }
-        }
+        // 1. Shapes, by the symbolic verifier's rules at this one tape.
+        let shapes = crate::symbolic::concrete_shapes(self, &mut report.findings);
 
         // 2. Reachability from the loss (inputs always precede consumers).
         let mut reachable = vec![false; self.nodes.len()];
@@ -275,26 +161,8 @@ impl Graph<'_> {
             }
         }
 
-        // 4. Dropout recorded on an eval-mode tape — standalone Dropout ops
-        // and fused attention nodes carrying a dropout mask alike.
-        if !self.train {
-            for (idx, node) in self.nodes.iter().enumerate() {
-                if node.op.kind() == OpKind::Dropout {
-                    report.push(
-                        FindingKind::EvalModeDropout,
-                        Some(NodeId(idx)),
-                        "dropout recorded while the graph is in eval mode".to_string(),
-                    );
-                } else if matches!(&node.op, Op::MhAttention { mask: Some(_), .. }) {
-                    report.push(
-                        FindingKind::EvalModeDropout,
-                        Some(NodeId(idx)),
-                        "fused attention carries a dropout mask while the graph is in eval mode"
-                            .to_string(),
-                    );
-                }
-            }
-        }
+        // 4. Dropout recorded on an eval-mode tape.
+        eval_mode_dropout(self, &mut report.findings);
 
         // 5. Liveness operand table consistency: every value the backward
         // rule claims to read must be an actual input of the op (or the
@@ -319,12 +187,6 @@ impl Graph<'_> {
                     );
                 }
             }
-        }
-
-        // 6. Tape memory accounting, shared with the liveness planner.
-        for (idx, node) in self.nodes.iter().enumerate() {
-            report.value_bytes += 4 * shapes[idx].0 * shapes[idx].1;
-            report.payload_bytes += 4 * node.op.payload_elems();
         }
 
         report.shapes = shapes;
@@ -360,211 +222,6 @@ impl Graph<'_> {
     }
 }
 
-/// Re-derive an op's output shape from its input shapes. `shapes` holds the
-/// already-derived shapes of every earlier node; `actual` is the recorded
-/// value's shape, consulted only where the op payload underdetermines the
-/// output (Reshape target dims, SliceCols width).
-fn infer_shape(
-    op: &Op,
-    shapes: &[(usize, usize)],
-    actual: (usize, usize),
-    g: &Graph,
-) -> Result<(usize, usize), String> {
-    let s = |id: NodeId| shapes[id.0];
-    match op {
-        Op::Input => Ok(actual),
-        Op::Param(pid) => {
-            let stored = g.store.get(*pid).shape();
-            if stored != actual {
-                return Err(format!(
-                    "leaf is {}x{} but the store holds {}x{} for {:?}",
-                    actual.0,
-                    actual.1,
-                    stored.0,
-                    stored.1,
-                    g.store.name(*pid)
-                ));
-            }
-            Ok(stored)
-        }
-        Op::MatMul(a, b) => {
-            let ((m, ka), (kb, n)) = (s(*a), s(*b));
-            if ka != kb {
-                return Err(format!("inner dims differ: {m}x{ka} @ {kb}x{n}"));
-            }
-            Ok((m, n))
-        }
-        Op::Transpose(x) => {
-            let (r, c) = s(*x);
-            Ok((c, r))
-        }
-        Op::Reshape(x) => {
-            let (r, c) = s(*x);
-            if r * c != actual.0 * actual.1 {
-                return Err(format!("element count changed: {r}x{c} -> {}x{}", actual.0, actual.1));
-            }
-            Ok(actual)
-        }
-        Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) => {
-            if s(*a) != s(*b) {
-                return Err(format!("elementwise operands differ: {:?} vs {:?}", s(*a), s(*b)));
-            }
-            Ok(s(*a))
-        }
-        Op::Scale(x, _)
-        | Op::AddScalar(x)
-        | Op::Relu(x)
-        | Op::LeakyRelu(x, _)
-        | Op::Elu(x)
-        | Op::Sigmoid(x)
-        | Op::Tanh(x)
-        | Op::SoftmaxRows(x) => Ok(s(*x)),
-        Op::LayerNormRows(x, rstds) => {
-            let (r, c) = s(*x);
-            if rstds.len() != r {
-                return Err(format!("saved {} rstds for {r} rows", rstds.len()));
-            }
-            Ok((r, c))
-        }
-        Op::Dropout(x, mask) => {
-            if mask.shape() != s(*x) {
-                return Err(format!("mask is {:?} but input is {:?}", mask.shape(), s(*x)));
-            }
-            Ok(s(*x))
-        }
-        Op::L2NormalizeRows(x, norms) => {
-            let (r, c) = s(*x);
-            if norms.len() != r {
-                return Err(format!("saved {} norms for {r} rows", norms.len()));
-            }
-            Ok((r, c))
-        }
-        Op::AddRow(x, row) | Op::MulRow(x, row) => {
-            let (n, d) = s(*x);
-            if s(*row) != (1, d) {
-                return Err(format!("row operand is {:?}, want 1x{d}", s(*row)));
-            }
-            Ok((n, d))
-        }
-        Op::MulCol(x, col) => {
-            let (n, d) = s(*x);
-            if s(*col) != (n, 1) {
-                return Err(format!("col operand is {:?}, want {n}x1", s(*col)));
-            }
-            Ok((n, d))
-        }
-        Op::ConcatCols(parts) => {
-            let n = s(parts[0]).0;
-            let mut total = 0;
-            for &p in parts {
-                if s(p).0 != n {
-                    return Err(format!("part rows differ: {} vs {n}", s(p).0));
-                }
-                total += s(p).1;
-            }
-            Ok((n, total))
-        }
-        Op::ConcatRows(parts) => {
-            let d = s(parts[0]).1;
-            let mut total = 0;
-            for &p in parts {
-                if s(p).1 != d {
-                    return Err(format!("part cols differ: {} vs {d}", s(p).1));
-                }
-                total += s(p).0;
-            }
-            Ok((total, d))
-        }
-        Op::SliceCols(x, start) => {
-            let (n, w) = s(*x);
-            if start + actual.1 > w {
-                return Err(format!(
-                    "slice [{start}..{}] exceeds input width {w}",
-                    start + actual.1
-                ));
-            }
-            Ok((n, actual.1))
-        }
-        Op::GatherRows(x, indices) => {
-            let (n, d) = s(*x);
-            if let Some(&bad) = indices.iter().find(|&&i| i as usize >= n) {
-                return Err(format!("gather index {bad} out of range for {n} rows"));
-            }
-            Ok((indices.len(), d))
-        }
-        Op::SegmentSum(x, segments) => {
-            let (n, d) = s(*x);
-            if segments.total_rows() != n {
-                return Err(format!(
-                    "segments cover {} rows but input has {n}",
-                    segments.total_rows()
-                ));
-            }
-            Ok((segments.num_segments(), d))
-        }
-        Op::SegmentSoftmax(x, segments) => {
-            let (n, d) = s(*x);
-            if d != 1 {
-                return Err(format!("expects a column vector, got {n}x{d}"));
-            }
-            if segments.total_rows() != n {
-                return Err(format!(
-                    "segments cover {} rows but input has {n}",
-                    segments.total_rows()
-                ));
-            }
-            Ok((n, 1))
-        }
-        Op::SumAll(_) | Op::MeanAll(_) => Ok((1, 1)),
-        Op::CrossEntropyRows { logits, targets, softmax } => {
-            let (n, c) = s(*logits);
-            if targets.len() != n {
-                return Err(format!("{} targets for {n} logit rows", targets.len()));
-            }
-            if softmax.shape() != (n, c) {
-                return Err(format!("saved softmax is {:?}, want {n}x{c}", softmax.shape()));
-            }
-            if let Some(&bad) = targets.iter().find(|&&t| t as usize >= c) {
-                return Err(format!("target class {bad} out of range for {c} classes"));
-            }
-            Ok((1, 1))
-        }
-        Op::MseLoss { pred, target } => {
-            if target.shape() != s(*pred) {
-                return Err(format!(
-                    "target is {:?} but prediction is {:?}",
-                    target.shape(),
-                    s(*pred)
-                ));
-            }
-            Ok((1, 1))
-        }
-        Op::MhAttention { q, k, v, bias, heads, attn, mask, .. } => {
-            let (t, d) = s(*q);
-            if s(*k) != (t, d) || s(*v) != (t, d) {
-                return Err(format!("q/k/v shapes differ: {t}x{d} vs {:?} vs {:?}", s(*k), s(*v)));
-            }
-            if *heads == 0 || d % heads != 0 {
-                return Err(format!("model dim {d} not divisible by {heads} heads"));
-            }
-            if let Some(b) = bias {
-                if s(*b) != (t, t) {
-                    return Err(format!("bias is {:?}, want {t}x{t}", s(*b)));
-                }
-            }
-            if attn.shape() != (heads * t, t) {
-                return Err(format!("saved attn is {:?}, want {}x{t}", attn.shape(), heads * t));
-            }
-            if let Some(m) = mask {
-                if m.shape() != (heads * t, t) {
-                    return Err(format!("saved mask is {:?}, want {}x{t}", m.shape(), heads * t));
-                }
-            }
-            Ok((t, d))
-        }
-    }
-}
-
 /// Whether debug-build audit hooks should run: on in debug builds (or when
 /// `START_AUDIT=1`), off in release builds unless forced, and `START_AUDIT=0`
 /// always wins.
@@ -580,6 +237,7 @@ pub fn audit_enabled() -> bool {
 mod tests {
     use super::*;
     use crate::array::Array;
+    use crate::finding::Severity;
     use crate::params::{GradStore, Init, ParamStore};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

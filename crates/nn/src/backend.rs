@@ -16,8 +16,8 @@
 //!
 //! Selection: the `START_BACKEND` environment variable (`auto` | `simd` |
 //! `scalar`, default `auto` = SIMD when available) read once per process,
-//! overridable in-process through [`set_backend`] (bench/test escape hatch,
-//! same spirit as `array::set_reference_kernels`). Every dispatch is one
+//! overridable in-process through [`set_backend`] (the bench/test escape
+//! hatch `bench_kernels` uses to time both backends). Every dispatch is one
 //! relaxed atomic load plus a vtable call per *kernel invocation* (not per
 //! element), so the seam costs nothing measurable.
 //!

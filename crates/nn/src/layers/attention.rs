@@ -72,9 +72,8 @@ impl MultiHeadAttention {
     }
 
     /// The pre-fusion per-head tape (slice/transpose/matmul/softmax/concat
-    /// per head). Kept as the reference implementation for agreement tests
-    /// and the `bench_kernels` fused-vs-unfused comparison; not used by the
-    /// encoder.
+    /// per head). Kept as the oracle the fused-attention agreement tests
+    /// compare against; not used by the encoder.
     pub fn forward_unfused(
         &self,
         g: &mut Graph,

@@ -54,27 +54,6 @@ impl TransformerEncoderLayer {
         let res2 = g.add(x1, ffn_out);
         self.norm2.forward(g, res2)
     }
-
-    /// Same block routed through the legacy per-head attention tape
-    /// ([`MultiHeadAttention::forward_unfused`]); reference path for the
-    /// `bench_kernels` fused-vs-unfused comparison and agreement tests.
-    pub fn forward_unfused(
-        &self,
-        g: &mut Graph,
-        x: NodeId,
-        bias: Option<NodeId>,
-        rng: &mut StdRng,
-    ) -> NodeId {
-        let attn_out = self.attn.forward_unfused(g, x, bias, rng);
-        let attn_out = g.dropout(attn_out, self.dropout, rng);
-        let res1 = g.add(x, attn_out);
-        let x1 = self.norm1.forward(g, res1);
-
-        let ffn_out = self.ffn.forward(g, x1, rng);
-        let ffn_out = g.dropout(ffn_out, self.dropout, rng);
-        let res2 = g.add(x1, ffn_out);
-        self.norm2.forward(g, res2)
-    }
 }
 
 /// A stack of [`TransformerEncoderLayer`]s sharing one attention bias.

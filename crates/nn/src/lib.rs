@@ -22,8 +22,9 @@
 //!   deterministically;
 //! - [`serialize`] — checkpoint codec used by the transfer experiments
 //!   (Table III);
-//! - [`audit`] — static tape verification: shape re-derivation, dead-node /
-//!   zero-gradient-parameter detection, and a first-NaN tracer;
+//! - [`audit`] — concrete tape checks: dead-node / zero-gradient-parameter
+//!   detection and a first-NaN tracer, over the shape rules of
+//!   [`symbolic`], the config-time verifier; both report [`Finding`]s;
 //! - [`liveness`] — static memory planner: per-node forward/backward
 //!   last-use analysis, a pooled release schedule executed by
 //!   [`graph::Graph::backward_planned`], and an aliasing sanitizer
@@ -37,6 +38,7 @@
 pub mod array;
 pub mod audit;
 pub mod backend;
+pub mod finding;
 pub mod gradcheck;
 pub mod graph;
 pub mod layers;
@@ -51,8 +53,9 @@ pub mod symbolic;
 pub mod train;
 
 pub use array::Array;
-pub use audit::{AuditReport, Finding, FindingKind, NonFiniteTrace, Severity};
+pub use audit::{AuditReport, NonFiniteTrace};
 pub use backend::{set_backend, Backend, BackendKind};
+pub use finding::{Finding, FindingKind, Findings, HazardClass, Severity};
 pub use graph::{Graph, MemoryStats, NodeId, OpKind, Segments};
 pub use liveness::{memory_planning_enabled, sanitize_enabled, MemoryPlan};
 pub use optim::{AdamW, AdamWConfig};
@@ -60,7 +63,7 @@ pub use params::{GradStore, Init, ParamId, ParamStore};
 pub use pool::{BufferPool, PoolStats};
 pub use schedule::WarmupCosine;
 pub use symbolic::{
-    verify_family, AbsVal, Dim, DimFit, HazardClass, SymFinding, SymFindingKind, SymShape,
-    TapeFamily, VerifyReport, DEFAULT_ANCHORS, NUM_ANCHORS,
+    verify_family, AbsVal, Dim, DimFit, SymShape, TapeFamily, VerifyReport, DEFAULT_ANCHORS,
+    NUM_ANCHORS,
 };
 pub use train::{BatchTrainer, MemoryReport, PublishCadence, ShardResult, StepStats};

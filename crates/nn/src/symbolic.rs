@@ -1,10 +1,10 @@
 //! Symbolic tape verifier: config-time shape, gradient-flow, and
 //! numerical-hazard abstract interpretation (DESIGN.md §15).
 //!
-//! Every analysis before this one (auditor, gradcheck, liveness sanitizer)
-//! runs on a single concrete tape, so a bad config or a miswired model
-//! family only fails once real data has flowed at one batch size. This
-//! module re-derives the tape under two abstract domains instead:
+//! The other analyses (gradcheck, liveness sanitizer) run on a single
+//! concrete tape, so a bad config or a miswired model family only fails
+//! once real data has flowed at one batch size. This module re-derives the
+//! tape under two abstract domains instead:
 //!
 //! * a **symbolic dimension domain** — each model family is traced at three
 //!   anchor sizes of its size knob `n` (sequence/batch length) and every
@@ -30,19 +30,24 @@
 //!
 //! Model families register through [`TapeFamily`] (a no-data tracing
 //! constructor); `start-analysis verify` runs [`verify_family`] over every
-//! registered family and fails CI on any [`Severity::Error`] finding.
+//! registered family and fails CI on any
+//! [`Severity::Error`](crate::Severity::Error) finding.
+//!
+//! The shape rules are the crate's only per-op shape table:
+//! [`Graph::audit`] runs them over one concrete tape (every anchor is the
+//! same graph, so every [`Dim`] is `Const`).
 //!
 //! Families whose tape *structure* varies with the size knob (per-timestep
 //! GRU loops, data-dependent masking) cannot be generalized across anchors;
-//! they get a [`SymFindingKind::StructureDivergence`] warning and each
+//! they get a [`FindingKind::StructureDivergence`] warning and each
 //! anchor tape is verified concretely instead (all dims `Const`), so shape,
 //! hazard, and gradient-flow checking still runs — only the one-pass-all-`n`
 //! claim is dropped.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::audit::Severity;
-use crate::graph::{Graph, NodeId, Op, OpKind};
+use crate::finding::{eval_mode_dropout, Finding, FindingKind, Findings, HazardClass};
+use crate::graph::{Graph, NodeId, Op};
 use crate::params::ParamStore;
 
 /// Number of anchor sizes each family is traced at. Two anchors fit the
@@ -388,110 +393,12 @@ impl std::ops::Mul for AbsVal {
 // Findings
 // ---------------------------------------------------------------------------
 
-/// Numerical hazard classes the abstract interpretation can prove reachable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HazardClass {
-    /// `log` (or fused cross-entropy) of a possibly-zero probability.
-    LogZero,
-    /// Division by a possibly-zero normalizer (softmax over a row that may
-    /// be entirely −∞).
-    DivZero,
-    /// `exp` of a pre-activation whose upper bound exceeds the `f32` range.
-    ExpOverflow,
-    /// An op may produce NaN/∞ from inputs that were themselves bounded.
-    NonFinite,
-}
-
-impl HazardClass {
-    pub fn name(self) -> &'static str {
-        match self {
-            HazardClass::LogZero => "log-zero",
-            HazardClass::DivZero => "div-zero",
-            HazardClass::ExpOverflow => "exp-overflow",
-            HazardClass::NonFinite => "non-finite",
-        }
-    }
-}
-
-/// Defect classes reported by [`verify_family`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SymFindingKind {
-    /// Symbolically re-derived shape disagrees with a recorded tape.
-    ShapeMismatch,
-    /// Building the tape at an anchor size panicked (an eager builder
-    /// assert caught a malformed config before the verifier could).
-    RecordPanic,
-    /// Tape structure varies with the size knob; fell back to per-anchor
-    /// concrete verification.
-    StructureDivergence,
-    /// A statically reachable numerical hazard.
-    Hazard(HazardClass),
-    /// A training family's loss node is not a `1×1` scalar.
-    LossNotScalar,
-    /// No parameter leaf receives gradient from the loss.
-    LossDisconnected,
-    /// A stop-gradient source tower still receives gradient through a
-    /// non-detached path.
-    StopGradientLeak,
-    /// Every path from the parameter to the loss crosses a multiplier that
-    /// is provably zero — the gradient is guaranteed zero.
-    ZeroGradParam,
-    /// Parameter bound to the tape but unable to reach the loss.
-    UnreachableParam,
-    /// Parameter in the store but never bound to this family's tape
-    /// (expected for per-task heads; reported for visibility).
-    UnusedParam,
-    /// Parameters reachable only through a stop-gradient detachment — a
-    /// frozen (e.g. EMA target) tower.
-    FrozenTower,
-    /// Dropout recorded on an eval-mode tape.
-    EvalDropout,
-}
-
-impl SymFindingKind {
-    pub fn severity(self) -> Severity {
-        match self {
-            SymFindingKind::ShapeMismatch
-            | SymFindingKind::RecordPanic
-            | SymFindingKind::LossNotScalar
-            | SymFindingKind::LossDisconnected
-            | SymFindingKind::StopGradientLeak => Severity::Error,
-            SymFindingKind::Hazard(HazardClass::NonFinite) => Severity::Warning,
-            SymFindingKind::Hazard(_) => Severity::Error,
-            SymFindingKind::StructureDivergence
-            | SymFindingKind::ZeroGradParam
-            | SymFindingKind::UnreachableParam
-            | SymFindingKind::EvalDropout => Severity::Warning,
-            SymFindingKind::UnusedParam | SymFindingKind::FrozenTower => Severity::Info,
-        }
-    }
-}
-
-/// One verifier finding.
-#[derive(Debug, Clone)]
-pub struct SymFinding {
-    pub kind: SymFindingKind,
-    /// Tape position, when the finding is about a specific node.
-    pub node: Option<usize>,
-    pub message: String,
-}
-
-impl std::fmt::Display for SymFinding {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{:?}/{:?}] ", self.kind.severity(), self.kind)?;
-        if let Some(n) = self.node {
-            write!(f, "node {n}: ")?;
-        }
-        f.write_str(&self.message)
-    }
-}
-
 /// Result of [`verify_family`].
 #[derive(Debug, Default)]
 pub struct VerifyReport {
     pub family: String,
     pub sizes: [usize; NUM_ANCHORS],
-    pub findings: Vec<SymFinding>,
+    pub findings: Vec<Finding>,
     /// Symbolic shape per tape node (empty when the family fell back to
     /// per-anchor verification after a structure divergence).
     pub shapes: Vec<SymShape>,
@@ -501,21 +408,15 @@ pub struct VerifyReport {
     pub trained_params: usize,
 }
 
+impl Findings for VerifyReport {
+    fn findings(&self) -> &[Finding] {
+        &self.findings
+    }
+}
+
 impl VerifyReport {
-    pub fn errors(&self) -> impl Iterator<Item = &SymFinding> {
-        self.findings.iter().filter(|f| f.kind.severity() == Severity::Error)
-    }
-
-    pub fn warnings(&self) -> impl Iterator<Item = &SymFinding> {
-        self.findings.iter().filter(|f| f.kind.severity() == Severity::Warning)
-    }
-
-    pub fn has_errors(&self) -> bool {
-        self.errors().next().is_some()
-    }
-
-    fn push(&mut self, kind: SymFindingKind, node: Option<usize>, message: String) {
-        self.findings.push(SymFinding { kind, node, message });
+    fn push(&mut self, kind: FindingKind, node: Option<usize>, message: String) {
+        self.findings.push(Finding { kind, node: node.map(NodeId), message });
     }
 }
 
@@ -581,15 +482,30 @@ pub trait TapeFamily {
 // Anchor alignment
 // ---------------------------------------------------------------------------
 
-/// The aligned anchor tapes a symbolic pass runs over. In fallback mode all
-/// entries alias one graph and `sizes` repeats one anchor, which degenerates
-/// every [`Dim`] to `Const`.
+/// The aligned anchor tapes a symbolic pass runs over. In single-tape mode
+/// (the structure-divergence fallback and [`Graph::audit`]) all entries
+/// alias one graph and `sizes` repeats one anchor, which degenerates every
+/// [`Dim`] to `Const`.
 struct Anchors<'g, 's> {
     gs: [&'g Graph<'s>; NUM_ANCHORS],
     sizes: [usize; NUM_ANCHORS],
 }
 
 impl<'g, 's> Anchors<'g, 's> {
+    /// One concrete tape traced at size `n` (`0` when the size is unknown).
+    fn single(g: &'g Graph<'s>, n: usize) -> Self {
+        Anchors { gs: [g; NUM_ANCHORS], sizes: [n; NUM_ANCHORS] }
+    }
+
+    /// Where anchor `a` sits, for messages: `" (at n=…)"`, or nothing for a
+    /// tape of unknown size.
+    fn at_n(&self, a: usize) -> String {
+        match self.sizes[a] {
+            0 => String::new(),
+            n => format!(" (at n={n})"),
+        }
+    }
+
     fn op(&self, anchor: usize, node: usize) -> &'g Op {
         &self.gs[anchor].nodes[node].op
     }
@@ -681,6 +597,16 @@ macro_rules! per_anchor {
     };
 }
 
+/// Per-anchor shape of a saved payload `Array` as a [`SymShape`].
+macro_rules! payload_shape {
+    ($anchors:expr, $node:expr, $pat:pat => $arr:expr) => {
+        SymShape {
+            rows: per_anchor!($anchors, $node, $pat => $arr.shape().0),
+            cols: per_anchor!($anchors, $node, $pat => $arr.shape().1),
+        }
+    };
+}
+
 /// Fold a per-anchor payload property into one value.
 macro_rules! anchor_max {
     ($anchors:expr, $node:expr, $pat:pat => $e:expr) => {{
@@ -698,10 +624,11 @@ macro_rules! anchor_max {
 // Symbolic shape rules (one per OpKind; rule 4 checks this table)
 // ---------------------------------------------------------------------------
 
-/// Re-derive a node's shape under the symbolic dimension domain. Mirrors
-/// the auditor's `infer_shape`, but every extent is a [`Dim`] checked at all
-/// anchors simultaneously, so an equality that only holds at one concrete
-/// size (a head dim that coincides with one batch size, say) cannot pass.
+/// Re-derive a node's shape under the symbolic dimension domain, checking
+/// the saved payloads (masks, softmaxes, norm statistics) against it. Every
+/// extent is a [`Dim`] checked at all anchors simultaneously, so an equality
+/// that only holds at one concrete size (a head dim that coincides with one
+/// batch size, say) cannot pass.
 fn sym_shape(
     anchors: &Anchors,
     node: usize,
@@ -785,9 +712,7 @@ fn sym_shape(
             Ok(s(*x))
         }
         Op::Dropout(x, _) => {
-            let mask_rows = per_anchor!(anchors, node, Op::Dropout(_, m) => m.shape().0);
-            let mask_cols = per_anchor!(anchors, node, Op::Dropout(_, m) => m.shape().1);
-            let mask = shape(mask_rows, mask_cols);
+            let mask = payload_shape!(anchors, node, Op::Dropout(_, m) => m);
             if mask != s(*x) {
                 return Err(format!(
                     "mask is {} but input is {}",
@@ -878,9 +803,9 @@ fn sym_shape(
                 if let Op::GatherRows(_, indices) = anchors.op(a, node) {
                     if let Some(&bad) = indices.iter().find(|&&i| (i as usize) >= sx.rows.vals[a]) {
                         return Err(format!(
-                            "gather index {bad} out of range for {} rows (at n={})",
+                            "gather index {bad} out of range for {} rows{}",
                             sx.rows.render(sizes),
-                            anchors.sizes[a]
+                            anchors.at_n(a)
                         ));
                     }
                 }
@@ -929,13 +854,22 @@ fn sym_shape(
                     sl.rows.render(sizes)
                 ));
             }
+            let softmax =
+                payload_shape!(anchors, node, Op::CrossEntropyRows { softmax, .. } => softmax);
+            if softmax != sl {
+                return Err(format!(
+                    "saved softmax is {}, want {}",
+                    softmax.render(sizes),
+                    sl.render(sizes)
+                ));
+            }
             for a in 0..NUM_ANCHORS {
                 if let Op::CrossEntropyRows { targets, .. } = anchors.op(a, node) {
                     if let Some(&bad) = targets.iter().find(|&&t| (t as usize) >= sl.cols.vals[a]) {
                         return Err(format!(
-                            "target class {bad} out of range for {} classes (at n={})",
+                            "target class {bad} out of range for {} classes{}",
                             sl.cols.render(sizes),
-                            anchors.sizes[a]
+                            anchors.at_n(a)
                         ));
                     }
                 }
@@ -943,9 +877,7 @@ fn sym_shape(
             Ok(shape(Dim::splat(1), Dim::splat(1)))
         }
         Op::MseLoss { pred, .. } => {
-            let tr = per_anchor!(anchors, node, Op::MseLoss { target, .. } => target.shape().0);
-            let tc = per_anchor!(anchors, node, Op::MseLoss { target, .. } => target.shape().1);
-            let target = shape(tr, tc);
+            let target = payload_shape!(anchors, node, Op::MseLoss { target, .. } => target);
             if target != s(*pred) {
                 return Err(format!(
                     "target is {} but prediction is {}",
@@ -955,7 +887,7 @@ fn sym_shape(
             }
             Ok(shape(Dim::splat(1), Dim::splat(1)))
         }
-        Op::MhAttention { q, k, v, bias, heads, .. } => {
+        Op::MhAttention { q, k, v, bias, heads, mask, .. } => {
             let sq = s(*q);
             if s(*k) != sq || s(*v) != sq {
                 return Err(format!(
@@ -978,6 +910,27 @@ fn sym_shape(
                         "bias is {}, want {}",
                         s(*b).render(sizes),
                         want.render(sizes)
+                    ));
+                }
+            }
+            // Saved per-head payloads: every head's (T, T) block stacked.
+            let stacked = shape(Dim::splat(*heads) * sq.rows, sq.rows);
+            let attn = payload_shape!(anchors, node, Op::MhAttention { attn, .. } => attn);
+            if attn != stacked {
+                return Err(format!(
+                    "saved attn is {}, want {}",
+                    attn.render(sizes),
+                    stacked.render(sizes)
+                ));
+            }
+            if mask.is_some() {
+                let saved =
+                    payload_shape!(anchors, node, Op::MhAttention { mask: Some(m), .. } => m);
+                if saved != stacked {
+                    return Err(format!(
+                        "saved mask is {}, want {}",
+                        saved.render(sizes),
+                        stacked.render(sizes)
                     ));
                 }
             }
@@ -1210,7 +1163,7 @@ pub fn verify_family(fam: &dyn TapeFamily, sizes: [usize; NUM_ANCHORS]) -> Verif
             }
             Err(payload) => {
                 report.push(
-                    SymFindingKind::RecordPanic,
+                    FindingKind::RecordPanic,
                     None,
                     format!(
                         "building the tape at size n={n} panicked: {}",
@@ -1229,7 +1182,7 @@ pub fn verify_family(fam: &dyn TapeFamily, sizes: [usize; NUM_ANCHORS]) -> Verif
         Ok(()) => {
             if losses[1] != losses[0] || losses[2] != losses[0] {
                 report.push(
-                    SymFindingKind::StructureDivergence,
+                    FindingKind::StructureDivergence,
                     None,
                     format!(
                         "loss node differs between anchors ({}, {}, {})",
@@ -1243,7 +1196,7 @@ pub fn verify_family(fam: &dyn TapeFamily, sizes: [usize; NUM_ANCHORS]) -> Verif
         }
         Err(why) => {
             report.push(
-                SymFindingKind::StructureDivergence,
+                FindingKind::StructureDivergence,
                 None,
                 format!(
                     "tape structure varies with the size knob ({why}); falling back to \
@@ -1252,21 +1205,18 @@ pub fn verify_family(fam: &dyn TapeFamily, sizes: [usize; NUM_ANCHORS]) -> Verif
             );
             // Degenerate anchors: every Dim is Const, but shape, hazard,
             // and gradient-flow checks still run on each anchor tape.
-            let mut merged: Vec<SymFinding> = Vec::new();
+            let mut merged: Vec<Finding> = Vec::new();
             for (a, g) in graphs.iter().enumerate() {
-                let single = Anchors { gs: [g, g, g], sizes: [sizes[a]; NUM_ANCHORS] };
+                let single = Anchors::single(g, sizes[a]);
                 let mut sub = VerifyReport {
                     family: report.family.clone(),
-                    sizes: [sizes[a]; NUM_ANCHORS],
+                    sizes: single.sizes,
                     ..VerifyReport::default()
                 };
                 verify_anchors(fam, &single, losses[a], &mut sub, false);
                 report.trained_params = report.trained_params.max(sub.trained_params);
                 for f in sub.findings {
-                    let dup = merged
-                        .iter()
-                        .any(|m| m.kind == f.kind && m.node == f.node && m.message == f.message);
-                    if !dup {
+                    if !merged.contains(&f) {
                         merged.push(f);
                     }
                 }
@@ -1275,6 +1225,45 @@ pub fn verify_family(fam: &dyn TapeFamily, sizes: [usize; NUM_ANCHORS]) -> Verif
         }
     }
     report
+}
+
+/// Re-derive every node's shape with [`sym_shape`], flagging each
+/// disagreement with the recorded tape as a `ShapeMismatch`. A node whose
+/// rule fails continues downstream with its recorded shape, so one defect
+/// does not cascade.
+fn derive_shapes(anchors: &Anchors, findings: &mut Vec<Finding>) -> Vec<SymShape> {
+    let sizes = anchors.sizes;
+    let mut shapes: Vec<SymShape> = Vec::with_capacity(anchors.num_nodes());
+    for idx in 0..anchors.num_nodes() {
+        let actual = anchors.actual(idx);
+        let (shape, problem) = match sym_shape(anchors, idx, &shapes, &sizes) {
+            Ok(derived) if derived == actual => (derived, None),
+            Ok(derived) => (
+                derived,
+                Some(format!(
+                    "recorded value is {} but the shape rule gives {}",
+                    actual.render(&sizes),
+                    derived.render(&sizes)
+                )),
+            ),
+            Err(msg) => (actual, Some(msg)),
+        };
+        if let Some(msg) = problem {
+            findings.push(Finding {
+                kind: FindingKind::ShapeMismatch,
+                node: Some(NodeId(idx)),
+                message: format!("{}: {msg}", anchors.op(0, idx).kind()),
+            });
+        }
+        shapes.push(shape);
+    }
+    shapes
+}
+
+/// The shape pass of [`Graph::audit`]: the same rules over one concrete
+/// tape, returning each node's derived `(rows, cols)`.
+pub(crate) fn concrete_shapes(g: &Graph, findings: &mut Vec<Finding>) -> Vec<(usize, usize)> {
+    derive_shapes(&Anchors::single(g, 0), findings).into_iter().map(|s| s.at(0)).collect()
 }
 
 /// The shared core: symbolic shapes, abstract interpretation, and gradient
@@ -1292,37 +1281,7 @@ fn verify_anchors(
     let sizes = anchors.sizes;
 
     // 1. Symbolic shape re-derivation.
-    let mut shapes: Vec<SymShape> = Vec::with_capacity(n);
-    for idx in 0..n {
-        let actual = anchors.actual(idx);
-        match sym_shape(anchors, idx, &shapes, &sizes) {
-            Ok(derived) => {
-                if derived != actual {
-                    report.push(
-                        SymFindingKind::ShapeMismatch,
-                        Some(idx),
-                        format!(
-                            "{}: recorded value is {} but the symbolic derivation gives {}",
-                            anchors.op(0, idx).kind(),
-                            actual.render(&sizes),
-                            derived.render(&sizes)
-                        ),
-                    );
-                }
-                shapes.push(derived);
-            }
-            Err(msg) => {
-                report.push(
-                    SymFindingKind::ShapeMismatch,
-                    Some(idx),
-                    format!("{}: {msg}", anchors.op(0, idx).kind()),
-                );
-                // Continue downstream with the recorded shape so one defect
-                // does not cascade.
-                shapes.push(actual);
-            }
-        }
-    }
+    let shapes = derive_shapes(anchors, &mut report.findings);
 
     // 2. Abstract value interpretation with hazard detection.
     let mut vals: Vec<AbsVal> = Vec::with_capacity(n);
@@ -1335,7 +1294,7 @@ fn verify_anchors(
         let out = abs_transfer(anchors, idx, &vals, &shapes, leaf_override, &mut hazards);
         for (class, message) in hazards {
             report.push(
-                SymFindingKind::Hazard(class),
+                FindingKind::Hazard(class),
                 Some(idx),
                 format!(
                     "{} ({}): {message}",
@@ -1352,25 +1311,14 @@ fn verify_anchors(
         && shapes[loss.index()] != (SymShape { rows: Dim::splat(1), cols: Dim::splat(1) })
     {
         report.push(
-            SymFindingKind::LossNotScalar,
+            FindingKind::LossNotScalar,
             Some(loss.index()),
             format!("training loss must be 1x1 but is {}", shapes[loss.index()].render(&sizes)),
         );
     }
 
-    // 4. Eval-mode dropout (mirrors the concrete auditor).
-    if !fam.train() {
-        for idx in 0..n {
-            let op = anchors.op(0, idx);
-            if op.kind() == OpKind::Dropout || matches!(op, Op::MhAttention { mask: Some(_), .. }) {
-                report.push(
-                    SymFindingKind::EvalDropout,
-                    Some(idx),
-                    "dropout recorded on an eval-mode tape".to_string(),
-                );
-            }
-        }
-    }
+    // 4. Eval-mode dropout.
+    eval_mode_dropout(anchors.gs[0], &mut report.findings);
 
     if keep_shapes {
         report.shapes = shapes;
@@ -1506,7 +1454,7 @@ fn grad_flow_audit(
             // a leak: the detachment did not isolate the tower.
             if ls.iter().any(|&l| sg_ancestor[l]) {
                 report.push(
-                    SymFindingKind::StopGradientLeak,
+                    FindingKind::StopGradientLeak,
                     None,
                     format!(
                         "parameter {:?} feeds a stop_gradient source but still receives \
@@ -1520,7 +1468,7 @@ fn grad_flow_audit(
         }
         if ls.iter().any(|&l| sg_ancestor[l]) {
             report.push(
-                SymFindingKind::FrozenTower,
+                FindingKind::FrozenTower,
                 None,
                 format!(
                     "parameter {:?} is reachable only through stop_gradient (frozen tower); \
@@ -1530,7 +1478,7 @@ fn grad_flow_audit(
             );
         } else if ls.iter().any(|&l| all_reach[l]) {
             report.push(
-                SymFindingKind::ZeroGradParam,
+                FindingKind::ZeroGradParam,
                 None,
                 format!(
                     "parameter {:?} reaches the loss only through provably-zero multipliers; \
@@ -1540,7 +1488,7 @@ fn grad_flow_audit(
             );
         } else {
             report.push(
-                SymFindingKind::UnreachableParam,
+                FindingKind::UnreachableParam,
                 None,
                 format!(
                     "parameter {:?} is bound to the tape but cannot reach the loss",
@@ -1553,7 +1501,7 @@ fn grad_flow_audit(
 
     if unused > 0 {
         report.push(
-            SymFindingKind::UnusedParam,
+            FindingKind::UnusedParam,
             None,
             format!(
                 "{unused} store parameter(s) not bound to this family's tape (e.g. {}) — \
@@ -1574,7 +1522,7 @@ fn grad_flow_audit(
             )
         };
         report.push(
-            SymFindingKind::LossDisconnected,
+            FindingKind::LossDisconnected,
             Some(loss.index()),
             format!("no parameter receives gradient from this loss{sg_note}"),
         );
@@ -1662,9 +1610,9 @@ mod tests {
         let finding = report
             .findings
             .iter()
-            .find(|f| f.kind == SymFindingKind::ShapeMismatch)
+            .find(|f| f.kind == FindingKind::ShapeMismatch)
             .unwrap_or_else(|| panic!("no shape-mismatch finding in:\n{report}"));
-        assert_eq!(finding.node, Some(2));
+        assert_eq!(finding.node, Some(NodeId(2)));
         assert!(
             finding.message.contains("MatMul")
                 && finding.message.contains("nx3")
@@ -1672,6 +1620,75 @@ mod tests {
             "finding must name the op and both symbolic shapes: {finding}"
         );
         assert!(report.has_errors());
+    }
+
+    /// Which saved payload [`CorruptFam`] breaks after recording.
+    #[derive(Clone, Copy)]
+    enum Payload {
+        Attn,
+        Softmax,
+    }
+
+    /// Fused attention into a cross-entropy loss, with one saved payload
+    /// shrunk after recording — the way a buggy kernel would leave it.
+    /// Eager asserts check outputs, not payloads, so only the shape rules
+    /// can catch this.
+    struct CorruptFam {
+        mini: MiniFam,
+        payload: Payload,
+    }
+
+    impl TapeFamily for CorruptFam {
+        fn name(&self) -> String {
+            "corrupt".to_string()
+        }
+
+        fn store(&self) -> &ParamStore {
+            &self.mini.store
+        }
+
+        fn record<'s>(&'s self, g: &mut Graph<'s>, n: usize) -> NodeId {
+            let mut rng = StdRng::seed_from_u64(1);
+            let x = g.input(Array::from_fn(n, 3, |r, c| 0.1 + ((r * 3 + c) % 5) as f32 / 10.0));
+            let w = g.param(self.mini.pid);
+            let h = g.matmul(x, w);
+            let att = g.mh_attention(h, h, h, None, 3, 0.0, &mut rng);
+            let targets = std::sync::Arc::new((0..n as u32).map(|i| i % 3).collect());
+            let loss = g.cross_entropy_rows(att, targets);
+            let corrupt = match self.payload {
+                Payload::Attn => att,
+                Payload::Softmax => loss,
+            };
+            match &mut g.nodes[corrupt.index()].op {
+                Op::MhAttention { attn: saved, .. }
+                | Op::CrossEntropyRows { softmax: saved, .. } => *saved = Array::zeros(1, 1),
+                _ => unreachable!("tape layout changed"),
+            }
+            loss
+        }
+    }
+
+    /// A corrupted saved payload is a `ShapeMismatch` at its node from both
+    /// checkers, since both run the same shape rules.
+    #[test]
+    fn corrupted_payloads_fail_audit_and_verify_alike() {
+        for (payload, node, what) in
+            [(Payload::Attn, 3, "saved attn"), (Payload::Softmax, 4, "saved softmax")]
+        {
+            let fam = CorruptFam { mini: MiniFam::new(), payload };
+            let mut g = Graph::new(fam.store(), true);
+            let loss = fam.record(&mut g, 5);
+            let audit = g.audit(loss);
+            let report = verify_family(&fam, DEFAULT_ANCHORS);
+            for findings in [&audit.findings, &report.findings] {
+                let hit = findings
+                    .iter()
+                    .find(|f| f.kind == FindingKind::ShapeMismatch)
+                    .unwrap_or_else(|| panic!("{what}: no shape mismatch in {findings:?}"));
+                assert_eq!(hit.node, Some(NodeId(node)), "{hit}");
+                assert!(hit.message.contains(what), "{hit}");
+            }
+        }
     }
 
     #[test]

@@ -10,9 +10,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use start_nn::audit::Severity;
 use start_nn::graph::{Graph, NodeId};
 use start_nn::params::{Init, ParamStore};
+use start_nn::{Findings, Severity};
 
 /// A step in a random unary-ish op chain; each keeps shape (rows, cols) or
 /// transposes it, so any sequence composes.

@@ -10,7 +10,7 @@ use rand::SeedableRng;
 use start_nn::graph::{Graph, NodeId};
 use start_nn::layers::MultiHeadAttention;
 use start_nn::params::{GradStore, ParamStore};
-use start_nn::{Array, BufferPool};
+use start_nn::{Array, BufferPool, Findings};
 
 const DIM: usize = 16;
 const HEADS: usize = 4;

@@ -18,10 +18,8 @@ use rand::SeedableRng;
 
 use start_nn::graph::{Graph, NodeId};
 use start_nn::params::{Init, ParamId, ParamStore};
-use start_nn::symbolic::{
-    verify_family, AbsVal, Dim, DimFit, HazardClass, SymFindingKind, TapeFamily,
-};
-use start_nn::Array;
+use start_nn::symbolic::{verify_family, AbsVal, Dim, DimFit, TapeFamily};
+use start_nn::{Array, FindingKind, Findings, HazardClass};
 
 /// Deterministic, strictly positive input values so leaf intervals are
 /// stable across anchors (the verifier widens them; positivity keeps
@@ -151,7 +149,7 @@ proptest! {
             report
                 .findings
                 .iter()
-                .all(|f| matches!(f.kind, SymFindingKind::Hazard(_))),
+                .all(|f| matches!(f.kind, FindingKind::Hazard(_))),
             "chain {chain:?} produced structural findings:\n{report}"
         );
         prop_assert_eq!(report.shapes.len(), report.num_nodes);
@@ -248,7 +246,7 @@ fn possibly_neg_inf_logits_flag_log_zero() {
     let hazard = report
         .findings
         .iter()
-        .find(|f| f.kind == SymFindingKind::Hazard(HazardClass::LogZero))
+        .find(|f| f.kind == FindingKind::Hazard(HazardClass::LogZero))
         .unwrap_or_else(|| panic!("no log-zero hazard in:\n{report}"));
     assert!(report.has_errors());
     assert!(
@@ -302,7 +300,7 @@ fn possibly_all_masked_softmax_flags_div_zero() {
     let hazard = report
         .findings
         .iter()
-        .find(|f| f.kind == SymFindingKind::Hazard(HazardClass::DivZero))
+        .find(|f| f.kind == FindingKind::Hazard(HazardClass::DivZero))
         .unwrap_or_else(|| panic!("no div-zero hazard in:\n{report}"));
     assert!(report.has_errors());
     assert!(hazard.message.contains("SoftmaxRows"), "hazard should name the softmax op: {hazard}");
@@ -374,7 +372,7 @@ fn shared_tower_stop_gradient_leak_is_an_error() {
     let leak = report
         .findings
         .iter()
-        .find(|f| f.kind == SymFindingKind::StopGradientLeak)
+        .find(|f| f.kind == FindingKind::StopGradientLeak)
         .unwrap_or_else(|| panic!("no stop-gradient-leak finding in:\n{report}"));
     assert!(report.has_errors());
     assert!(leak.message.contains("tower"), "leak should name the parameter: {leak}");
@@ -426,7 +424,7 @@ fn separate_frozen_tower_is_info_not_leak() {
     let report = verify_family(&fam, [5, 8, 11]);
     assert!(!report.has_errors(), "EMA-style tower must verify clean:\n{report}");
     assert!(
-        report.findings.iter().any(|f| f.kind == SymFindingKind::FrozenTower),
+        report.findings.iter().any(|f| f.kind == FindingKind::FrozenTower),
         "target tower should surface as FrozenTower:\n{report}"
     );
     assert_eq!(report.trained_params, 1);
@@ -473,7 +471,7 @@ fn fully_detached_target_tower_disconnects_the_loss() {
     let finding = report
         .findings
         .iter()
-        .find(|f| f.kind == SymFindingKind::LossDisconnected)
+        .find(|f| f.kind == FindingKind::LossDisconnected)
         .unwrap_or_else(|| panic!("no loss-disconnected finding in:\n{report}"));
     assert!(report.has_errors());
     assert!(
@@ -525,7 +523,7 @@ fn mismatched_head_dim_fails_with_named_shapes() {
     let finding = report
         .findings
         .iter()
-        .find(|f| f.kind == SymFindingKind::RecordPanic)
+        .find(|f| f.kind == FindingKind::RecordPanic)
         .unwrap_or_else(|| panic!("no record-panic finding in:\n{report}"));
     assert!(report.has_errors());
     assert!(
@@ -580,7 +578,7 @@ fn per_timestep_tape_falls_back_to_per_anchor_checking() {
     let fam = LoopFam::new();
     let report = verify_family(&fam, [5, 8, 11]);
     assert!(
-        report.findings.iter().any(|f| f.kind == SymFindingKind::StructureDivergence),
+        report.findings.iter().any(|f| f.kind == FindingKind::StructureDivergence),
         "loop tape should report structure divergence:\n{report}"
     );
     assert!(!report.has_errors(), "fallback checking must stay clean:\n{report}");

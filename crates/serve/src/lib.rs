@@ -28,10 +28,6 @@
 //! offline paths use, so a served embedding is bit-for-bit the embedding
 //! `Encoder::encode` would have produced, regardless of worker count,
 //! replica count, batch composition, or arrival order.
-//!
-//! [`sweep`] is the parent/child configuration-sweep orchestrator used by
-//! the serving benchmarks to fan isolated measurement runs out to child
-//! processes and merge their results.
 
 pub mod config;
 pub mod error;
@@ -39,7 +35,6 @@ pub mod router;
 pub mod service;
 pub mod stats;
 pub mod store;
-pub mod sweep;
 
 pub use config::{
     IndexKind, RouterConfig, RouterConfigBuilder, RouterConfigError, ServeConfig,
@@ -53,4 +48,3 @@ pub use start_ann::{
 };
 pub use stats::{Histogram, HistogramSnapshot, ServiceStats};
 pub use store::{EmbeddingStore, Neighbor};
-pub use sweep::{emit_result, run_sweep, SweepError, SweepJob, SweepRun, RESULT_MARKER};

@@ -1,8 +1,8 @@
 //! End-to-end tests of the sharded `Router`: fingerprint shard purity, the
 //! bitwise contract against a single `EmbeddingService` for any replica
 //! count, scatter-gather kNN agreement, checkpoint hot-swap (version-tagged
-//! replies, atomic refusal, stale-index tagging), the live
-//! trainer-to-router publish flow, and the sweep orchestrator round trip.
+//! replies, atomic refusal, stale-index tagging), and the live
+//! trainer-to-router publish flow.
 
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -12,10 +12,7 @@ use start_core::encoder::{fingerprint_view, EncodeOptions};
 use start_core::{pretrain_with_publish, PretrainConfig, StartConfig, StartModel};
 use start_nn::PublishCadence;
 use start_roadnet::synth::{generate_city, City, CityConfig};
-use start_serve::{
-    emit_result, run_sweep, EmbeddingService, Router, RouterConfig, ServeConfig, ServeError,
-    SweepError, SweepJob,
-};
+use start_serve::{EmbeddingService, Router, RouterConfig, ServeConfig, ServeError};
 use start_traj::{PreprocessConfig, SimConfig, Simulator, TrajDataset, TrajView, Trajectory};
 
 struct Fixture {
@@ -323,48 +320,4 @@ fn training_publishes_into_a_live_router_with_every_reply_pre_or_post_swap() {
     assert_eq!(total, (published + 2) * queries.len() as u64, "a reply went missing");
     let stats = router.shutdown();
     assert_eq!(stats.failed(), 0, "no reply may fail across hot swaps");
-}
-
-// ---------------------------------------------------------------------------
-// Sweep orchestrator round trip (parent/child over this very test binary)
-// ---------------------------------------------------------------------------
-
-/// Child half of the round trip: only does anything when re-invoked by
-/// `sweep_round_trip_merges_results_in_job_order` with the payload env var.
-#[test]
-fn sweep_child_helper() {
-    let Ok(payload) = std::env::var("ROUTER_TEST_SWEEP_PAYLOAD") else { return };
-    println!("child progress line (forwarded, not a result)");
-    emit_result(&payload);
-}
-
-#[test]
-fn sweep_round_trip_merges_results_in_job_order() {
-    let exe = std::env::current_exe().unwrap();
-    let child_args = ["sweep_child_helper", "--exact", "--nocapture"];
-    let jobs: Vec<SweepJob> = ["alpha", "beta", "gamma"]
-        .iter()
-        .map(|name| {
-            SweepJob::new(*name, child_args)
-                .env("ROUTER_TEST_SWEEP_PAYLOAD", format!("payload-{name}"))
-        })
-        .collect();
-    let runs = run_sweep(&exe, &jobs).unwrap();
-    let got: Vec<(String, String)> = runs.into_iter().map(|r| (r.name, r.payload)).collect();
-    assert_eq!(
-        got,
-        vec![
-            ("alpha".to_string(), "payload-alpha".to_string()),
-            ("beta".to_string(), "payload-beta".to_string()),
-            ("gamma".to_string(), "payload-gamma".to_string()),
-        ]
-    );
-
-    // A child that exits cleanly without emitting a result is a typed
-    // protocol error naming the job.
-    let silent = vec![SweepJob::new("silent", child_args)];
-    match run_sweep(&exe, &silent) {
-        Err(SweepError::MissingResult { job }) => assert_eq!(job, "silent"),
-        other => panic!("expected MissingResult, got {other:?}"),
-    }
 }
