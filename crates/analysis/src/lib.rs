@@ -1,6 +1,6 @@
 //! Syntactic workspace lints — repo invariants clippy cannot express.
 //!
-//! Eleven rules, run by `cargo run -p start-analysis -- lint` (and CI):
+//! Twelve rules, run by `cargo run -p start-analysis -- lint` (and CI):
 //!
 //! 1. **no-panic-lib**: no `.unwrap()` / `.expect(` in non-test library code
 //!    of `crates/nn`, `crates/core`, `crates/baselines`, `crates/serve`,
@@ -66,6 +66,11 @@
 //!     then deleted, and this rule is what forces the deletion. A site that
 //!     must outlive a release carries `// deprecated-ok: <reason>` (which
 //!     rule 10 then keeps anchored).
+//! 12. **one-train-loop**: non-test library code of `crates/core` and
+//!     `crates/baselines` builds no `BatchTrainer`, `AdamW` or
+//!     `WarmupCosine` and reads no `audit_enabled` ([`TRAIN_LOOP_TOKENS`]):
+//!     every model trains through `start_nn::fit`, so a hand-copied epoch
+//!     loop cannot grow back. No escape marker.
 //!
 //! The scanner is line-based with a small state machine that strips string
 //! literals and comments before matching, so occurrences inside strings,
@@ -413,6 +418,40 @@ pub fn lint_stale_deprecated(file: &str, source: &str) -> Vec<Lint> {
             });
         }
         run_ok = false;
+    }
+    lints
+}
+
+// ---------------------------------------------------------------------------
+// Rule 12: model crates train through start_nn::fit
+// ---------------------------------------------------------------------------
+
+/// What rule 12 forbids in `core` and `baselines`: the pieces `fit` owns.
+pub const TRAIN_LOOP_TOKENS: &[&str] = &[
+    "BatchTrainer::new",
+    "BatchTrainer::exact",
+    "AdamW::new",
+    "WarmupCosine::new",
+    "audit_enabled",
+];
+
+/// Flag any [`TRAIN_LOOP_TOKENS`] entry outside `#[cfg(test)]` code.
+pub fn lint_one_train_loop(file: &str, source: &str) -> Vec<Lint> {
+    let mut lints = Vec::new();
+    let mut block_depth = 0usize;
+    let mut in_str = false;
+    let mut tracker = TestModTracker::default();
+    for (n, raw) in source.lines().enumerate() {
+        let (code, _) = split_code_comment(raw, &mut block_depth, &mut in_str);
+        let in_test = tracker.line_is_test(&code);
+        if let Some(token) = TRAIN_LOOP_TOKENS.iter().find(|t| !in_test && has_token(&code, t)) {
+            lints.push(Lint {
+                file: file.to_string(),
+                line: n + 1,
+                rule: "one-train-loop",
+                message: format!("`{token}` in a model crate: train through `start_nn::fit`"),
+            });
+        }
     }
     lints
 }
@@ -943,6 +982,15 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Lint>> {
         }
     }
 
+    for krate in ["core", "baselines"] {
+        let mut files = Vec::new();
+        rust_files(&root.join("crates").join(krate).join("src"), &mut files)?;
+        for file in files {
+            let source = std::fs::read_to_string(&file)?;
+            lints.extend(lint_one_train_loop(&rel(root, &file), &source));
+        }
+    }
+
     let kernels = root.join("crates/nn/src/array.rs");
     lints.extend(lint_f64_kernels(&rel(root, &kernels), &std::fs::read_to_string(&kernels)?));
 
@@ -1383,6 +1431,29 @@ mod tests {
         assert!(lint_stale_deprecated("lib.rs", src).is_empty());
         // Prose mentions never trip the rule — only the attribute token.
         assert!(lint_stale_deprecated("lib.rs", "// the #[deprecated] era is over\n").is_empty());
+    }
+
+    #[test]
+    fn hand_built_train_loop_is_flagged_outside_tests() {
+        let src = concat!(
+            "fn pretrain() {\n",
+            "    let mut trainer = BatchTrainer::new(cfg.workers, cfg.seed);\n",
+            "    let opt = start_nn::AdamW::new(&store, AdamWConfig::default());\n",
+            "    let sched = WarmupCosine::new(lr, 1, 10); // not WarmupCosine::new in prose\n",
+            "    let on = start_nn::audit::audit_enabled();\n",
+            "    let s = \"AdamW::new\";\n",
+            "    let ok = MyAdamW::new();\n",
+            "}\n",
+            "#[cfg(test)]\n",
+            "mod tests {\n",
+            "    fn legacy() { let o = AdamW::new(&s, c); }\n",
+            "}\n",
+        );
+        let lints = lint_one_train_loop("crates/core/src/pretrain/mod.rs", src);
+        let lines: Vec<usize> = lints.iter().map(|l| l.line).collect();
+        assert_eq!(lines, [2, 3, 4, 5], "{lints:?}");
+        assert!(lints.iter().all(|l| l.rule == "one-train-loop"));
+        assert!(lints[0].message.contains("BatchTrainer::new"), "{}", lints[0].message);
     }
 
     #[test]

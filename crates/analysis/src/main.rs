@@ -76,7 +76,7 @@ fn run_lint() {
     };
 
     if lints.is_empty() {
-        println!("start-analysis: workspace clean ({} rules)", 11);
+        println!("start-analysis: workspace clean ({} rules)", 12);
         return;
     }
     for lint in &lints {

@@ -15,15 +15,15 @@ use rand::SeedableRng;
 use start_nn::graph::{Graph, NodeId};
 use start_nn::layers::{sinusoidal_positional_encoding, Embedding};
 use start_nn::params::{Init, ParamId, ParamStore};
+use start_nn::train::{FitArgs, ShardResult, Trainable, Warmup};
 use start_nn::Array;
 use start_traj::{day_of_week_index, minute_index, TrajView, Trajectory};
 
-/// A pre-trainable trajectory encoder baseline.
-pub trait BaselineEncoder: Sync {
+/// A pre-trainable trajectory encoder baseline; [`Trainable`] gives
+/// [`start_nn::fit`] its parameter store.
+pub trait BaselineEncoder: Trainable {
     fn name(&self) -> &'static str;
     fn dim(&self) -> usize;
-    fn store(&self) -> &ParamStore;
-    fn store_mut(&mut self) -> &mut ParamStore;
     fn max_len(&self) -> usize;
 
     /// Pooled `(1, d)` representation of a view inside graph `g`.
@@ -43,6 +43,17 @@ pub trait BaselineEncoder: Sync {
         }
         out
     }
+}
+
+/// The mean of per-example `losses` as one shard's [`ShardResult`],
+/// weighted by the shard's `len` trajectories.
+pub(crate) fn mean_loss(g: &mut Graph, losses: &[NodeId], len: usize) -> ShardResult {
+    let mut acc = losses[0];
+    for &l in &losses[1..] {
+        acc = g.add(acc, l);
+    }
+    let loss = g.scale(acc, 1.0 / losses.len() as f32);
+    ShardResult { loss, weight: len as f32, components: Vec::new() }
 }
 
 /// Truncate a view to `max_len` tokens (prefix).
@@ -193,6 +204,25 @@ pub struct BaselineTrainConfig {
     /// Data-parallel workers per optimizer step (`1` = legacy sequential
     /// loop; see `start_nn::train`).
     pub workers: usize,
+}
+
+impl BaselineTrainConfig {
+    /// The [`start_nn::fit`] settings of a run whose loss needs
+    /// `min_per_shard` trajectories per shard (2 for in-batch negatives).
+    pub(crate) fn fit_args(&self, min_per_shard: usize) -> FitArgs {
+        FitArgs {
+            epochs: self.epochs,
+            batch_size: self.batch_size,
+            lr: self.lr,
+            warmup: Warmup::TenthOfSteps,
+            max_steps_per_epoch: self.max_steps_per_epoch,
+            grad_clip: self.grad_clip,
+            seed: self.seed,
+            workers: self.workers,
+            min_per_shard,
+            train_from: None,
+        }
+    }
 }
 
 impl Default for BaselineTrainConfig {

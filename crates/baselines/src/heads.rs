@@ -5,14 +5,12 @@
 use start_sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use start_nn::graph::Graph;
 use start_nn::layers::Linear;
-use start_nn::params::GradStore;
-use start_nn::train::{BatchTrainer, ShardResult};
-use start_nn::{AdamW, AdamWConfig, Array, WarmupCosine};
+use start_nn::train::{fit, ShardResult};
+use start_nn::Array;
 use start_traj::{TrajView, Trajectory};
 
 use crate::encoder::{clamp_view, departure_only_view, BaselineEncoder, BaselineTrainConfig};
@@ -43,45 +41,26 @@ pub fn fine_tune_eta<E: BaselineEncoder>(
         .sqrt()
         .max(1.0);
 
-    let steps_per_epoch = {
-        let full = (train.len() / cfg.batch_size).max(1);
-        cfg.max_steps_per_epoch.map_or(full, |m| m.min(full)).max(1)
-    };
-    let total = (steps_per_epoch * cfg.epochs) as u64;
-    let schedule = WarmupCosine::new(cfg.lr, (total / 10).max(1), total);
-    let mut trainer = BatchTrainer::new(cfg.workers, cfg.seed);
-    let mut optimizer = AdamW::new(enc.store(), AdamWConfig { lr: cfg.lr, ..Default::default() });
-
-    let mut indices: Vec<usize> = (0..train.len()).collect();
-    let mut step = 0u64;
-    for _ in 0..cfg.epochs {
-        indices.shuffle(&mut rng);
-        for batch in indices.chunks(cfg.batch_size).take(steps_per_epoch) {
-            let shard_loss = |g: &mut Graph, shard: &[usize], r: &mut StdRng| {
-                let mut pooled = Vec::with_capacity(shard.len());
-                let mut targets = Vec::with_capacity(shard.len());
-                for &i in shard {
-                    let view = clamp_view(departure_only_view(&train[i]), enc.max_len());
-                    pooled.push(enc.pool(g, &view, r));
-                    targets.push((train[i].travel_time_secs() - mean) / std);
-                }
-                let stacked = g.concat_rows(&pooled);
-                let preds = fc.forward(g, stacked);
-                let loss = g.mse_loss(preds, Array::from_vec(shard.len(), 1, targets));
-                Some(ShardResult { loss, weight: shard.len() as f32, components: Vec::new() })
-            };
-            let mut grads = GradStore::new(enc.store());
-            if trainer
-                .step(enc.store(), &mut grads, step, batch, 1, &mut rng, &shard_loss)
-                .is_none()
-            {
-                continue;
+    fit(
+        enc,
+        train.len(),
+        &cfg.fit_args(1),
+        &mut rng,
+        |m, g, shard, r| {
+            let mut pooled = Vec::with_capacity(shard.len());
+            let mut targets = Vec::with_capacity(shard.len());
+            for &i in shard {
+                let view = clamp_view(departure_only_view(&train[i]), m.max_len());
+                pooled.push(m.pool(g, &view, r));
+                targets.push((train[i].travel_time_secs() - mean) / std);
             }
-            grads.clip_global_norm(cfg.grad_clip);
-            optimizer.step(enc.store_mut(), &grads, schedule.lr(step));
-            step += 1;
-        }
-    }
+            let stacked = g.concat_rows(&pooled);
+            let preds = fc.forward(g, stacked);
+            let loss = g.mse_loss(preds, Array::from_vec(shard.len(), 1, targets));
+            Some(ShardResult { loss, weight: shard.len() as f32, components: Vec::new() })
+        },
+        |_, _, _, _| {},
+    );
     GenericEtaHead { fc, target_mean: mean, target_std: std }
 }
 
@@ -127,45 +106,26 @@ pub fn fine_tune_classifier<E: BaselineEncoder>(
         let store = enc.store_mut();
         Linear::new(store, &mut rng, "cls_head", dim, num_classes, true)
     };
-    let steps_per_epoch = {
-        let full = (train.len() / cfg.batch_size).max(1);
-        cfg.max_steps_per_epoch.map_or(full, |m| m.min(full)).max(1)
-    };
-    let total = (steps_per_epoch * cfg.epochs) as u64;
-    let schedule = WarmupCosine::new(cfg.lr, (total / 10).max(1), total);
-    let mut trainer = BatchTrainer::new(cfg.workers, cfg.seed);
-    let mut optimizer = AdamW::new(enc.store(), AdamWConfig { lr: cfg.lr, ..Default::default() });
-
-    let mut indices: Vec<usize> = (0..train.len()).collect();
-    let mut step = 0u64;
-    for _ in 0..cfg.epochs {
-        indices.shuffle(&mut rng);
-        for batch in indices.chunks(cfg.batch_size).take(steps_per_epoch) {
-            let shard_loss = |g: &mut Graph, shard: &[usize], r: &mut StdRng| {
-                let mut pooled = Vec::with_capacity(shard.len());
-                let mut targets = Vec::with_capacity(shard.len());
-                for &i in shard {
-                    let view = clamp_view(TrajView::identity(&train[i]), enc.max_len());
-                    pooled.push(enc.pool(g, &view, r));
-                    targets.push(labels[i] as u32);
-                }
-                let stacked = g.concat_rows(&pooled);
-                let logits = fc.forward(g, stacked);
-                let loss = g.cross_entropy_rows(logits, Arc::new(targets));
-                Some(ShardResult { loss, weight: shard.len() as f32, components: Vec::new() })
-            };
-            let mut grads = GradStore::new(enc.store());
-            if trainer
-                .step(enc.store(), &mut grads, step, batch, 1, &mut rng, &shard_loss)
-                .is_none()
-            {
-                continue;
+    fit(
+        enc,
+        train.len(),
+        &cfg.fit_args(1),
+        &mut rng,
+        |m, g, shard, r| {
+            let mut pooled = Vec::with_capacity(shard.len());
+            let mut targets = Vec::with_capacity(shard.len());
+            for &i in shard {
+                let view = clamp_view(TrajView::identity(&train[i]), m.max_len());
+                pooled.push(m.pool(g, &view, r));
+                targets.push(labels[i] as u32);
             }
-            grads.clip_global_norm(cfg.grad_clip);
-            optimizer.step(enc.store_mut(), &grads, schedule.lr(step));
-            step += 1;
-        }
-    }
+            let stacked = g.concat_rows(&pooled);
+            let logits = fc.forward(g, stacked);
+            let loss = g.cross_entropy_rows(logits, Arc::new(targets));
+            Some(ShardResult { loss, weight: shard.len() as f32, components: Vec::new() })
+        },
+        |_, _, _, _| {},
+    );
     GenericClassifierHead { fc, num_classes }
 }
 

@@ -8,18 +8,16 @@
 use start_sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use start_nn::graph::{Graph, NodeId};
 use start_nn::layers::{Linear, TransformerEncoder};
-use start_nn::params::{GradStore, ParamStore};
-use start_nn::train::{BatchTrainer, ShardResult};
-use start_nn::{AdamW, AdamWConfig, WarmupCosine};
+use start_nn::params::ParamStore;
+use start_nn::train::{fit, Trainable};
 use start_roadnet::SegmentId;
 use start_traj::{TrajView, Trajectory};
 
-use crate::encoder::{clamp_view, BaselineEncoder, BaselineTrainConfig, SeqEmbedder};
+use crate::encoder::{clamp_view, mean_loss, BaselineEncoder, BaselineTrainConfig, SeqEmbedder};
 
 /// Which member of the transformer family this instance is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -251,77 +249,39 @@ impl TransformerBaseline {
 
     /// Pre-train with this variant's objective mix.
     pub fn pretrain(&mut self, train: &[Trajectory], cfg: &BaselineTrainConfig) -> Vec<f32> {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let steps_per_epoch = {
-            let full = (train.len() / cfg.batch_size).max(1);
-            cfg.max_steps_per_epoch.map_or(full, |m| m.min(full)).max(1)
-        };
-        let total = (steps_per_epoch * cfg.epochs) as u64;
-        let schedule = WarmupCosine::new(cfg.lr, (total / 10).max(1), total);
-        let mut trainer = BatchTrainer::new(cfg.workers, cfg.seed);
         // PIM-TF draws its negative from the next trajectory in the shard,
         // so shards must hold at least two trajectories.
         let min_per_shard = if self.kind == TfKind::PimTf { 2 } else { 1 };
-        let mut optimizer =
-            AdamW::new(&self.store, AdamWConfig { lr: cfg.lr, ..Default::default() });
-        let mut indices: Vec<usize> = (0..train.len()).collect();
-        let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-        let mut step = 0u64;
-        for _ in 0..cfg.epochs {
-            indices.shuffle(&mut rng);
-            let mut epoch_loss = 0.0f64;
-            let mut executed = 0usize;
-            for batch in indices.chunks(cfg.batch_size).take(steps_per_epoch) {
-                let shard_loss = |g: &mut Graph, shard: &[usize], r: &mut StdRng| {
-                    let mut losses = Vec::new();
-                    for (k, &i) in shard.iter().enumerate() {
-                        match self.kind {
-                            TfKind::TransformerMlm => {
-                                losses.push(self.mlm_loss(g, &train[i], r));
-                            }
-                            TfKind::Bert => {
-                                losses.push(self.mlm_loss(g, &train[i], r));
-                                losses.push(self.bert_order_loss(g, &train[i], r));
-                            }
-                            TfKind::Toast => {
-                                losses.push(self.mlm_loss(g, &train[i], r));
-                                losses.push(self.toast_discrimination_loss(g, &train[i], r));
-                            }
-                            TfKind::PimTf => {
-                                let other = shard[(k + 1) % shard.len()];
-                                losses.push(self.pim_mi_loss(g, &train[i], &train[other], r));
-                            }
+        fit(
+            self,
+            train.len(),
+            &cfg.fit_args(min_per_shard),
+            &mut StdRng::seed_from_u64(cfg.seed),
+            |m, g, shard, r| {
+                let mut losses = Vec::new();
+                for (k, &i) in shard.iter().enumerate() {
+                    match m.kind {
+                        TfKind::TransformerMlm => {
+                            losses.push(m.mlm_loss(g, &train[i], r));
+                        }
+                        TfKind::Bert => {
+                            losses.push(m.mlm_loss(g, &train[i], r));
+                            losses.push(m.bert_order_loss(g, &train[i], r));
+                        }
+                        TfKind::Toast => {
+                            losses.push(m.mlm_loss(g, &train[i], r));
+                            losses.push(m.toast_discrimination_loss(g, &train[i], r));
+                        }
+                        TfKind::PimTf => {
+                            let other = shard[(k + 1) % shard.len()];
+                            losses.push(m.pim_mi_loss(g, &train[i], &train[other], r));
                         }
                     }
-                    let mut acc = losses[0];
-                    for &l in &losses[1..] {
-                        acc = g.add(acc, l);
-                    }
-                    let loss = g.scale(acc, 1.0 / losses.len() as f32);
-                    Some(ShardResult { loss, weight: shard.len() as f32, components: Vec::new() })
-                };
-                let mut grads = GradStore::new(&self.store);
-                let Some(stats) = trainer.step(
-                    &self.store,
-                    &mut grads,
-                    step,
-                    batch,
-                    min_per_shard,
-                    &mut rng,
-                    &shard_loss,
-                ) else {
-                    continue;
-                };
-                grads.clip_global_norm(cfg.grad_clip);
-                optimizer.step(&mut self.store, &grads, schedule.lr(step));
-                step += 1;
-                executed += 1;
-                epoch_loss += f64::from(stats.loss);
-            }
-            // Mean over batches actually executed, not the planned count.
-            epoch_losses.push((epoch_loss / executed.max(1) as f64) as f32);
-        }
-        epoch_losses
+                }
+                Some(mean_loss(g, &losses, shard.len()))
+            },
+            |_, _, _, _| {},
+        )
     }
 }
 
@@ -329,6 +289,16 @@ impl TransformerBaseline {
 fn score(g: &mut Graph, a: NodeId, b: NodeId) -> NodeId {
     let bt = g.transpose(b);
     g.matmul(a, bt)
+}
+
+impl Trainable for TransformerBaseline {
+    fn store(&self) -> &ParamStore {
+        &self.store
+    }
+
+    fn store_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
 }
 
 impl BaselineEncoder for TransformerBaseline {
@@ -343,14 +313,6 @@ impl BaselineEncoder for TransformerBaseline {
 
     fn dim(&self) -> usize {
         self.dim
-    }
-
-    fn store(&self) -> &ParamStore {
-        &self.store
-    }
-
-    fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
     }
 
     fn max_len(&self) -> usize {

@@ -69,7 +69,7 @@ impl TapeFamily for GruSeq2SeqFamily {
     }
 
     fn store(&self) -> &ParamStore {
-        crate::encoder::BaselineEncoder::store(&self.0)
+        start_nn::train::Trainable::store(&self.0)
     }
 
     fn record<'s>(&'s self, g: &mut Graph<'s>, n: usize) -> NodeId {
@@ -95,7 +95,7 @@ impl TapeFamily for TransformerFamily {
     }
 
     fn store(&self) -> &ParamStore {
-        crate::encoder::BaselineEncoder::store(&self.0)
+        start_nn::train::Trainable::store(&self.0)
     }
 
     fn record<'s>(&'s self, g: &mut Graph<'s>, n: usize) -> NodeId {
@@ -119,7 +119,7 @@ impl TapeFamily for PimFamily {
     }
 
     fn store(&self) -> &ParamStore {
-        crate::encoder::BaselineEncoder::store(&self.0)
+        start_nn::train::Trainable::store(&self.0)
     }
 
     fn record<'s>(&'s self, g: &mut Graph<'s>, n: usize) -> NodeId {

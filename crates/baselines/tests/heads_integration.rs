@@ -2,9 +2,10 @@
 //! encoders — the protocol Table II applies to all eight baselines.
 
 use start_baselines::{
-    fine_tune_classifier, fine_tune_eta, predict_classes, predict_eta, BaselineEncoder,
-    BaselineTrainConfig, GruSeq2Seq, Seq2SeqKind, TfKind, TransformerBaseline,
+    fine_tune_classifier, fine_tune_eta, predict_classes, predict_eta, BaselineTrainConfig,
+    GruSeq2Seq, Seq2SeqKind, TfKind, TransformerBaseline,
 };
+use start_nn::Trainable;
 use start_roadnet::synth::{generate_city, CityConfig};
 use start_traj::{SimConfig, Simulator, Trajectory};
 

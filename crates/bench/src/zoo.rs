@@ -9,6 +9,7 @@ use start_core::{
     fine_tune_classifier, fine_tune_eta, predict_classes, predict_eta, pretrain, EncodeOptions,
     FineTuneConfig, PretrainConfig, StartConfig, StartModel,
 };
+use start_nn::Trainable;
 use start_roadnet::{node2vec, Node2VecConfig, NodeEmbeddings};
 use start_traj::{TrajDataset, Trajectory};
 

@@ -8,14 +8,10 @@
 use start_sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use start_nn::graph::Graph;
 use start_nn::layers::Linear;
-use start_nn::params::GradStore;
-use start_nn::train::{BatchTrainer, ShardResult};
-use start_nn::{AdamW, AdamWConfig, Findings, WarmupCosine};
+use start_nn::train::{fit, ShardResult};
 use start_traj::{TrajView, Trajectory};
 
 use crate::downstream::FineTuneConfig;
@@ -43,82 +39,29 @@ pub fn fine_tune_classifier(
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let dim = model.cfg.dim;
     let fc = Linear::new(&mut model.store, &mut rng, "cls_head", dim, num_classes, true);
-    let head_w = fc.weight_id();
 
-    let steps_per_epoch = {
-        let full = (train.len() / cfg.batch_size).max(1);
-        cfg.max_steps_per_epoch.map_or(full, |m| m.min(full)).max(1)
-    };
-    let total = (steps_per_epoch * cfg.epochs) as u64;
-    let schedule = WarmupCosine::new(cfg.lr, (total / 10).max(1), total);
-    let mut trainer = BatchTrainer::new(cfg.workers, cfg.seed);
-    let mut optimizer = AdamW::new(&model.store, AdamWConfig { lr: cfg.lr, ..Default::default() });
-
-    // Static tape verification (debug builds, or START_AUDIT=1): the first
-    // shard graph of the run is audited and every shard's loss is checked
-    // finite, mirroring the pretrain loop. See `start_nn::audit`.
-    let audit_on = start_nn::audit::audit_enabled();
-    let audit_pending = start_sync::atomic::AtomicBool::new(audit_on);
-
-    let mut indices: Vec<usize> = (0..train.len()).collect();
-    let mut step = 0u64;
-    for _ in 0..cfg.epochs {
-        indices.shuffle(&mut rng);
-        for batch in indices.chunks(cfg.batch_size).take(steps_per_epoch) {
-            let shard_loss = |g: &mut Graph, shard: &[usize], r: &mut StdRng| {
-                let road_reprs = model.road_reprs(g);
-                let mut pooled = Vec::with_capacity(shard.len());
-                let mut targets = Vec::with_capacity(shard.len());
-                for &i in shard {
-                    let view = clamp_view(TrajView::identity(&train[i]), model.cfg.max_len);
-                    let enc = model.encode_view(g, &view, road_reprs, r);
-                    pooled.push(enc.pooled);
-                    targets.push(labels[i] as u32);
-                }
-                let stacked = g.concat_rows(&pooled);
-                let logits = fc.forward(g, stacked);
-                let loss = g.cross_entropy_rows(logits, Arc::new(targets));
-                if audit_on {
-                    use start_sync::atomic::Ordering;
-                    // relaxed-ok: one-shot latch, no data published through it
-                    if audit_pending.swap(false, Ordering::Relaxed) {
-                        let audit = g.audit(loss);
-                        assert!(
-                            !audit.has_errors(),
-                            "classifier fine-tuning tape failed its static audit:\n{audit}"
-                        );
-                        for finding in audit.warnings() {
-                            eprintln!("classify audit: {finding}");
-                        }
-                    }
-                    let lv = g.value(loss).item();
-                    if !lv.is_finite() {
-                        match g.trace_nonfinite() {
-                            Some(trace) => panic!("non-finite classification loss ({lv}); {trace}"),
-                            None => panic!(
-                                "non-finite classification loss ({lv}) but every tape value is \
-                                 finite — loss readback is inconsistent"
-                            ),
-                        }
-                    }
-                }
-                Some(ShardResult { loss, weight: shard.len() as f32, components: Vec::new() })
-            };
-            let mut grads = GradStore::new(&model.store);
-            if trainer
-                .step(&model.store, &mut grads, step, batch, 1, &mut rng, &shard_loss)
-                .is_none()
-            {
-                continue;
+    fit(
+        model,
+        train.len(),
+        &cfg.fit_args(fc.weight_id()),
+        &mut rng,
+        |m, g, shard, r| {
+            let road_reprs = m.road_reprs(g);
+            let mut pooled = Vec::with_capacity(shard.len());
+            let mut targets = Vec::with_capacity(shard.len());
+            for &i in shard {
+                let view = clamp_view(TrajView::identity(&train[i]), m.cfg.max_len);
+                let enc = m.encode_view(g, &view, road_reprs, r);
+                pooled.push(enc.pooled);
+                targets.push(labels[i] as u32);
             }
-            if cfg.freeze_encoder {
-                grads.retain(|id| id.index() >= head_w.index());
-            }
-            grads.clip_global_norm(cfg.grad_clip);
-            optimizer.step(&mut model.store, &grads, schedule.lr(step));
-            step += 1;
-        }
-    }
+            let stacked = g.concat_rows(&pooled);
+            let logits = fc.forward(g, stacked);
+            let loss = g.cross_entropy_rows(logits, Arc::new(targets));
+            Some(ShardResult { loss, weight: shard.len() as f32, components: Vec::new() })
+        },
+        |_, _, _, _| {},
+    );
     ClassifierHead { fc, num_classes }
 }
 

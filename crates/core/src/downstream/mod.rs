@@ -9,6 +9,9 @@ pub use classify::{fine_tune_classifier, predict_classes, ClassifierHead};
 pub use eta::{fine_tune_eta, predict_eta, EtaHead};
 pub use similarity::euclidean;
 
+use start_nn::train::{FitArgs, Warmup};
+use start_nn::ParamId;
+
 /// Shared fine-tuning loop parameters (both heads use AdamW, §IV-C2).
 #[derive(Debug, Clone)]
 pub struct FineTuneConfig {
@@ -37,6 +40,26 @@ impl Default for FineTuneConfig {
             seed: 31,
             freeze_encoder: false,
             workers: 1,
+        }
+    }
+}
+
+impl FineTuneConfig {
+    /// The [`start_nn::fit`] settings of a fine-tuning run whose task head
+    /// starts at parameter `head` (all that trains when the encoder is
+    /// frozen).
+    fn fit_args(&self, head: ParamId) -> FitArgs {
+        FitArgs {
+            epochs: self.epochs,
+            batch_size: self.batch_size,
+            lr: self.lr,
+            warmup: Warmup::TenthOfSteps,
+            max_steps_per_epoch: self.max_steps_per_epoch,
+            grad_clip: self.grad_clip,
+            seed: self.seed,
+            workers: self.workers,
+            min_per_shard: 1,
+            train_from: self.freeze_encoder.then_some(head),
         }
     }
 }

@@ -9,6 +9,7 @@ use rand::SeedableRng;
 use start_nn::graph::{Graph, NodeId};
 use start_nn::layers::{sinusoidal_positional_encoding, Embedding, Linear, TransformerEncoder};
 use start_nn::params::{Init, ParamId, ParamStore};
+use start_nn::train::Trainable;
 use start_nn::Array;
 use start_roadnet::{NodeEmbeddings, RoadNetwork, TransferMatrix};
 use start_traj::{day_of_week_index, minute_index, TrajView, Trajectory};
@@ -56,6 +57,16 @@ pub struct StartModel {
 /// Special index 0 in the minute/day tables is the `[MASKT]` token (§III-C1),
 /// so real indexes 1..=1440 / 1..=7 map directly.
 const MASKT: u32 = 0;
+
+impl Trainable for StartModel {
+    fn store(&self) -> &ParamStore {
+        &self.store
+    }
+
+    fn store_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+}
 
 impl StartModel {
     /// Build a model over a road network. `transfer` feeds TPE-GAT's Eq. 2

@@ -6,13 +6,10 @@ pub mod contrastive;
 pub mod mask;
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use start_nn::graph::Graph;
-use start_nn::params::GradStore;
-use start_nn::train::{BatchTrainer, PublishCadence, ShardResult};
-use start_nn::{AdamW, AdamWConfig, Findings, WarmupCosine};
+use start_nn::train::{fit, FitArgs, PublishCadence, ShardResult, Warmup};
 use start_traj::{TrajView, Trajectory};
 
 use crate::model::{clamp_view, StartModel};
@@ -247,93 +244,35 @@ pub fn pretrain_with_publish(
         model.cfg.use_mask_loss || model.cfg.use_contrastive_loss,
         "at least one self-supervised task must be enabled"
     );
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let steps_per_epoch = {
-        let full = train.len() / cfg.batch_size;
-        cfg.max_steps_per_epoch.map_or(full, |m| m.min(full)).max(1)
+    let args = FitArgs {
+        epochs: cfg.epochs,
+        batch_size: cfg.batch_size,
+        lr: cfg.base_lr,
+        warmup: Warmup::Fraction(cfg.warmup_frac),
+        max_steps_per_epoch: cfg.max_steps_per_epoch,
+        grad_clip: cfg.grad_clip,
+        seed: cfg.seed,
+        workers: cfg.workers,
+        // NT-Xent needs two anchors per shard; with more workers each shard
+        // draws its negatives only from its own trajectories.
+        min_per_shard: 2,
+        train_from: None,
     };
-    // Batches shorter than 2 trajectories are skipped by the loop below.
-    // Chunk lengths are data-independent, so the skip count is known up
-    // front and the LR schedule can span the steps actually taken instead
-    // of the planned count (which overshot whenever batches were skipped).
-    let executable_steps = (0..steps_per_epoch)
-        .filter(|i| train.len().saturating_sub(i * cfg.batch_size).min(cfg.batch_size) >= 2)
-        .count();
-    let total_steps = ((executable_steps * cfg.epochs) as u64).max(1);
-    let schedule = WarmupCosine::new(
-        cfg.base_lr,
-        ((total_steps as f32 * cfg.warmup_frac) as u64).max(1),
-        total_steps,
-    );
-    let mut trainer = BatchTrainer::new(cfg.workers, cfg.seed);
-    let mut optimizer =
-        AdamW::new(&model.store, AdamWConfig { lr: cfg.base_lr, ..Default::default() });
-
     let mut report = PretrainReport::default();
-    let mut indices: Vec<usize> = (0..train.len()).collect();
-    let mut step: u64 = 0;
+    // Mask / contrastive means summed over the executed steps of the latest
+    // epoch, with that epoch and its step count.
+    let (mut epoch_mask, mut epoch_con, mut last_epoch, mut executed) = (0.0f64, 0.0f64, 0, 0);
     let mut published_at: Option<u64> = None;
-
-    // Static tape verification (debug builds, or START_AUDIT=1): the first
-    // shard graph of the run is audited — shapes re-derived op-by-op,
-    // unreachable parameters and dead nodes reported — and every shard's
-    // loss is checked finite, with the first poisoned op named on failure.
-    // See `start_nn::audit` and DESIGN.md §8.
-    let audit_on = start_nn::audit::audit_enabled();
-    let audit_pending = start_sync::atomic::AtomicBool::new(audit_on);
-
-    for _epoch in 0..cfg.epochs {
-        indices.shuffle(&mut rng);
-        let mut epoch_loss = 0.0f64;
-        let mut epoch_mask = 0.0f64;
-        let mut epoch_con = 0.0f64;
-        let mut executed = 0usize;
-        for batch in indices.chunks(cfg.batch_size).take(steps_per_epoch) {
-            if batch.len() < 2 {
-                continue;
+    report.epoch_losses = fit(
+        model,
+        train.len(),
+        &args,
+        &mut StdRng::seed_from_u64(cfg.seed),
+        |m, g, shard, r| build_shard_loss(m, train, historical, g, shard, r),
+        |m, stats, epoch, step| {
+            if epoch != last_epoch {
+                (epoch_mask, epoch_con, last_epoch, executed) = (0.0, 0.0, epoch, 0);
             }
-            // Eq. 15 over one shard. With workers = 1 the shard is the whole
-            // batch and the RNG is the loop's, reproducing the legacy
-            // sequential loop exactly; with more workers each shard draws
-            // NT-Xent negatives only from its own trajectories.
-            let shard_loss = |g: &mut Graph, shard: &[usize], r: &mut StdRng| {
-                let res = build_shard_loss(model, train, historical, g, shard, r)?;
-                if audit_on {
-                    use start_sync::atomic::Ordering;
-                    // relaxed-ok: one-shot latch, no data published through it
-                    if audit_pending.swap(false, Ordering::Relaxed) {
-                        let audit = g.audit(res.loss);
-                        assert!(
-                            !audit.has_errors(),
-                            "pretrain tape failed its static audit:\n{audit}"
-                        );
-                        for finding in audit.warnings() {
-                            eprintln!("pretrain audit: {finding}");
-                        }
-                    }
-                    let lv = g.value(res.loss).item();
-                    if !lv.is_finite() {
-                        match g.trace_nonfinite() {
-                            Some(trace) => panic!("non-finite pretrain loss ({lv}); {trace}"),
-                            None => panic!(
-                                "non-finite pretrain loss ({lv}) but every tape value is \
-                                 finite — loss readback is inconsistent"
-                            ),
-                        }
-                    }
-                }
-                Some(res)
-            };
-
-            let mut grads = GradStore::new(&model.store);
-            let Some(stats) =
-                trainer.step(&model.store, &mut grads, step, batch, 2, &mut rng, &shard_loss)
-            else {
-                continue;
-            };
-            grads.clip_global_norm(cfg.grad_clip);
-
-            epoch_loss += f64::from(stats.loss);
             let (mut mask_sum, mut mask_n, mut con_sum, mut con_n) = (0.0f64, 0.0f64, 0.0, 0.0);
             for c in &stats.shard_components {
                 mask_sum += f64::from(c[0]) * f64::from(c[1]);
@@ -347,30 +286,24 @@ pub fn pretrain_with_publish(
             if con_n > 0.0 {
                 epoch_con += con_sum / con_n;
             }
-
-            let lr = schedule.lr(step);
-            optimizer.step(&mut model.store, &grads, lr);
-            step += 1;
             executed += 1;
+            report.steps = step;
             if cadence.due(step) {
                 published_at = Some(step);
-                publish(model, step);
+                publish(m, step);
             }
-        }
-        // Mean over batches actually executed; dividing by the planned step
-        // count used to deflate the reported losses whenever a batch was
-        // skipped (too short, or no trainable loss).
+        },
+    );
+    if last_epoch + 1 == cfg.epochs {
         let denom = executed.max(1) as f64;
-        report.epoch_losses.push((epoch_loss / denom) as f32);
         report.final_mask_loss = (epoch_mask / denom) as f32;
         report.final_contrastive_loss = (epoch_con / denom) as f32;
     }
     // Final-weights publish: the run's last checkpoint always reaches the
     // serving tier even when the step count is not a cadence multiple.
-    if cadence.is_enabled() && published_at != Some(step) {
-        publish(model, step);
+    if cadence.is_enabled() && published_at != Some(report.steps) {
+        publish(model, report.steps);
     }
-    report.steps = step;
     report
 }
 
@@ -378,6 +311,9 @@ pub fn pretrain_with_publish(
 mod tests {
     use super::*;
     use crate::config::StartConfig;
+    use rand::seq::SliceRandom;
+    use start_nn::params::GradStore;
+    use start_nn::{AdamW, AdamWConfig, WarmupCosine};
     use start_roadnet::synth::{generate_city, CityConfig};
     use start_roadnet::TransferMatrix;
     use start_traj::{historical_mean_durations, SimConfig, Simulator};

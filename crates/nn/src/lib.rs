@@ -17,9 +17,10 @@
 //!   GRU (for the seq2seq baselines), sinusoidal positions;
 //! - [`optim::AdamW`] + [`schedule::WarmupCosine`] — the paper's §IV-C2
 //!   training recipe;
-//! - [`train::BatchTrainer`] — data-parallel minibatch engine: shards each
-//!   batch over scoped worker threads and merges per-worker gradients
-//!   deterministically;
+//! - [`train::fit`] — the one training loop (shuffle, batch, AdamW under
+//!   warm-up + cosine decay, first-tape audit) over [`train::BatchTrainer`],
+//!   the data-parallel engine that shards each batch over scoped worker
+//!   threads and merges per-worker gradients deterministically;
 //! - [`serialize`] — checkpoint codec used by the transfer experiments
 //!   (Table III);
 //! - [`audit`] — concrete tape checks: dead-node / zero-gradient-parameter
@@ -66,4 +67,7 @@ pub use symbolic::{
     verify_family, AbsVal, Dim, DimFit, SymShape, TapeFamily, VerifyReport, DEFAULT_ANCHORS,
     NUM_ANCHORS,
 };
-pub use train::{BatchTrainer, MemoryReport, PublishCadence, ShardResult, StepStats};
+pub use train::{
+    fit, BatchTrainer, FitArgs, MemoryReport, PublishCadence, ShardResult, StepStats, Trainable,
+    Warmup,
+};

@@ -59,17 +59,12 @@ pub fn memory_planning_enabled() -> bool {
 }
 
 /// Whether the aliasing sanitizer's paranoid checks run (plan/actual byte
-/// reconciliation, release-count reconciliation): on in debug builds or when
-/// `START_SANITIZE=1`; `START_SANITIZE=0` always wins. The structural
-/// guarantees — read barriers, double-release detection, plan fingerprint
-/// validation — are cheap and always on.
-pub fn sanitize_enabled() -> bool {
-    match std::env::var("START_SANITIZE") {
-        Ok(v) if v == "0" => false,
-        Ok(v) if !v.is_empty() => true,
-        _ => cfg!(debug_assertions),
-    }
-}
+/// reconciliation, release-count reconciliation): the one `START_SANITIZE`
+/// switch the lock-order sanitizer also reads — on in debug builds or when
+/// `START_SANITIZE=1`, `START_SANITIZE=0` always wins, read once per
+/// process. The structural guarantees — read barriers, double-release
+/// detection, plan fingerprint validation — are cheap and always on.
+pub use start_sync::order::sanitize_enabled;
 
 /// A static release schedule plus peak-live-bytes figures for one tape.
 /// Compute with [`MemoryPlan::analyze`], execute with

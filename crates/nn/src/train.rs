@@ -1,6 +1,9 @@
-//! Data-parallel minibatch training engine.
+//! Data-parallel minibatch training engine and the one training loop.
 //!
-//! Every training loop in the workspace has the same per-step shape: build a
+//! Every model in the workspace trains through [`fit`]: it owns the epoch
+//! loop (shuffle, batching, the AdamW + warm-up/cosine schedule, gradient
+//! clipping and the debug-build tape audit) and leaves the caller only the
+//! shard loss and a per-step hook. Each step has the same shape: build a
 //! [`Graph`] over the shared read-only [`ParamStore`], compute a batch loss,
 //! run [`Graph::backward`] into a [`GradStore`], then apply one optimizer
 //! step. [`BatchTrainer`] factors that shape out and adds data parallelism:
@@ -29,12 +32,18 @@
 //!   scheduling; the merge happens in shard order for the same reason.
 
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use start_sync::atomic::{AtomicBool, Ordering};
 
+use crate::audit::audit_enabled;
+use crate::finding::Findings;
 use crate::graph::{Graph, NodeId};
 use crate::liveness::{memory_planning_enabled, MemoryPlan};
-use crate::params::{GradStore, ParamStore};
+use crate::optim::{AdamW, AdamWConfig};
+use crate::params::{GradStore, ParamId, ParamStore};
 use crate::pool::BufferPool;
+use crate::schedule::WarmupCosine;
 
 /// What a shard closure hands back to the engine for one shard.
 pub struct ShardResult {
@@ -81,8 +90,7 @@ pub struct StepStats {
     /// sequential accounting stays exact.
     pub shard_components: Vec<Vec<f32>>,
     /// Per-worker planned-vs-actual peak bytes, in shard order; empty when
-    /// memory planning is disabled (`START_MEM_PLAN=0`). Set
-    /// `START_MEM_LOG=1` to also print each report to stderr.
+    /// memory planning is disabled (`START_MEM_PLAN=0`).
     pub memory: Vec<MemoryReport>,
 }
 
@@ -157,24 +165,13 @@ fn backward_with_plan(
     }
     let plan = MemoryPlan::analyze(g, loss);
     g.backward_planned(loss, grads, &plan);
-    let report = MemoryReport {
+    Some(MemoryReport {
         worker,
         planned_peak_bytes: plan.planned_peak_bytes(),
         predicted_peak_bytes: plan.runtime_peak_bytes(),
         baseline_peak_bytes: plan.baseline_peak_bytes(),
         actual_peak_bytes: g.memory_stats().peak_bytes,
-    };
-    if matches!(std::env::var("START_MEM_LOG"), Ok(v) if !v.is_empty() && v != "0") {
-        eprintln!(
-            "[mem] worker {worker}: baseline {} KiB, planned {} KiB, \
-             predicted {} KiB, actual {} KiB",
-            report.baseline_peak_bytes / 1024,
-            report.planned_peak_bytes / 1024,
-            report.predicted_peak_bytes / 1024,
-            report.actual_peak_bytes / 1024,
-        );
-    }
-    Some(report)
+    })
 }
 
 impl BatchTrainer {
@@ -344,6 +341,145 @@ impl BatchTrainer {
             shard_components,
             memory,
         })
+    }
+}
+
+/// A model [`fit`] can train. Shards borrow it from worker threads.
+pub trait Trainable: Sync {
+    fn store(&self) -> &ParamStore;
+    fn store_mut(&mut self) -> &mut ParamStore;
+}
+
+/// Learning-rate warm-up length, out of `total` optimizer steps.
+#[derive(Debug, Clone, Copy)]
+pub enum Warmup {
+    /// `⌊total · frac⌋` steps (pre-training's `warmup_frac`).
+    Fraction(f32),
+    /// `⌊total / 10⌋` steps (fine-tuning and the baselines).
+    TenthOfSteps,
+}
+
+/// Settings of one [`fit`] run; each model config maps onto these.
+#[derive(Debug, Clone)]
+pub struct FitArgs {
+    pub epochs: usize,
+    pub batch_size: usize,
+    pub lr: f32,
+    pub warmup: Warmup,
+    pub max_steps_per_epoch: Option<usize>,
+    pub grad_clip: f32,
+    pub seed: u64,
+    pub workers: usize,
+    /// Shortest batch (and shard) the loss accepts: 2 for in-batch
+    /// negatives, else 1. Shorter batches are skipped.
+    pub min_per_shard: usize,
+    /// Update only parameters allocated at or after this one (a frozen
+    /// encoder under a fresh task head).
+    pub train_from: Option<ParamId>,
+}
+
+/// The one training loop (§IV-C: AdamW under warm-up + cosine decay, the
+/// same protocol for START and every baseline).
+///
+/// Each epoch shuffles `0..n_items` with `rng` and takes at most
+/// `max_steps_per_epoch` chunks of `batch_size`, skipping those shorter
+/// than `min_per_shard`. Each batch runs one [`BatchTrainer::step`] over
+/// `shard_loss`, then the `train_from` filter, clipping and one AdamW step
+/// (none when every shard yields `None`); `on_step(model, stats, epoch,
+/// completed_steps)` then sees the post-step weights. When
+/// [`audit_enabled`], the first shard tape is audited and every shard loss
+/// must be finite, else the panic names the op that produced the NaN/Inf.
+/// Returns each epoch's mean loss over the batches it executed.
+pub fn fit<M, S, H>(
+    model: &mut M,
+    n_items: usize,
+    args: &FitArgs,
+    rng: &mut StdRng,
+    shard_loss: S,
+    mut on_step: H,
+) -> Vec<f32>
+where
+    M: Trainable,
+    S: Fn(&M, &mut Graph, &[usize], &mut StdRng) -> Option<ShardResult> + Sync,
+    H: FnMut(&M, &StepStats, usize, u64),
+{
+    let (bs, min) = (args.batch_size, args.min_per_shard);
+    let full = n_items / bs;
+    let steps_per_epoch = args.max_steps_per_epoch.map_or(full, |m| m.min(full)).max(1);
+    // Chunk lengths are data-independent, so the schedule can span exactly
+    // the steps that are not skipped.
+    let executable =
+        (0..steps_per_epoch).filter(|i| n_items.saturating_sub(i * bs).min(bs) >= min).count();
+    let total = ((executable * args.epochs) as u64).max(1);
+    let warmup = match args.warmup {
+        Warmup::Fraction(frac) => (total as f32 * frac) as u64,
+        Warmup::TenthOfSteps => total / 10,
+    };
+    let schedule = WarmupCosine::new(args.lr, warmup.max(1), total);
+    let mut trainer = BatchTrainer::new(args.workers, args.seed);
+    let mut optimizer =
+        AdamW::new(model.store(), AdamWConfig { lr: args.lr, ..Default::default() });
+    let audit_on = audit_enabled();
+    let audit_pending = AtomicBool::new(audit_on);
+
+    let mut indices: Vec<usize> = (0..n_items).collect();
+    let mut epoch_losses = Vec::with_capacity(args.epochs);
+    let mut step = 0u64;
+    for epoch in 0..args.epochs {
+        indices.shuffle(rng);
+        let (mut epoch_loss, mut executed) = (0.0f64, 0usize);
+        for batch in indices.chunks(bs).take(steps_per_epoch) {
+            if batch.len() < min {
+                continue;
+            }
+            let m: &M = model;
+            let shard = |g: &mut Graph, s: &[usize], r: &mut StdRng| {
+                let res = shard_loss(m, g, s, r)?;
+                if audit_on {
+                    check_shard(g, res.loss, &audit_pending);
+                }
+                Some(res)
+            };
+            let mut grads = GradStore::new(m.store());
+            let Some(stats) = trainer.step(m.store(), &mut grads, step, batch, min, rng, &shard)
+            else {
+                continue;
+            };
+            if let Some(first) = args.train_from {
+                grads.retain(|id| id.index() >= first.index());
+            }
+            grads.clip_global_norm(args.grad_clip);
+            optimizer.step(model.store_mut(), &grads, schedule.lr(step));
+            step += 1;
+            executed += 1;
+            epoch_loss += f64::from(stats.loss);
+            on_step(model, &stats, epoch, step);
+        }
+        epoch_losses.push((epoch_loss / executed.max(1) as f64) as f32);
+    }
+    epoch_losses
+}
+
+/// [`fit`]'s debug-build tape check: audit the run's first shard tape
+/// (`first` is the one-shot latch), then require a finite shard loss.
+fn check_shard(g: &Graph, loss: NodeId, first: &AtomicBool) {
+    // relaxed-ok: one-shot latch, no data published through it
+    if first.swap(false, Ordering::Relaxed) {
+        let audit = g.audit(loss);
+        assert!(!audit.has_errors(), "training tape failed its static audit:\n{audit}");
+        for finding in audit.warnings() {
+            eprintln!("training audit: {finding}");
+        }
+    }
+    let lv = g.value(loss).item();
+    if !lv.is_finite() {
+        match g.trace_nonfinite() {
+            Some(trace) => panic!("non-finite training loss ({lv}); {trace}"),
+            None => panic!(
+                "non-finite training loss ({lv}) but every tape value is finite — loss \
+                 readback is inconsistent"
+            ),
+        }
     }
 }
 

@@ -56,8 +56,8 @@ proptest! {
             .collect();
         let node = g.input(x);
         let ln = g.layer_norm_rows(node);
-        for r in 0..rows {
-            if raw_var[r] < 1e-2 {
+        for (r, &v) in raw_var.iter().enumerate() {
+            if v < 1e-2 {
                 continue; // epsilon-dominated row
             }
             let row = g.value(ln).row(r);
@@ -77,8 +77,8 @@ proptest! {
         let nonzero: Vec<bool> = (0..rows).map(|r| x.row(r).iter().any(|v| v.abs() > 1e-3)).collect();
         let node = g.input(x);
         let nn = g.l2_normalize_rows(node);
-        for r in 0..rows {
-            if nonzero[r] {
+        for (r, &nz) in nonzero.iter().enumerate() {
+            if nz {
                 let norm: f32 = g.value(nn).row(r).iter().map(|v| v * v).sum::<f32>().sqrt();
                 prop_assert!((norm - 1.0).abs() < 1e-3, "norm {norm}");
             }

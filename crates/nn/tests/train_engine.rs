@@ -1,16 +1,20 @@
 //! Reproducibility contract of the data-parallel training engine:
 //! `workers = 1` is bit-for-bit the legacy sequential loop, more workers
 //! compute the same mean gradient up to summation order, and every
-//! configuration is bitwise deterministic run to run.
+//! configuration is bitwise deterministic run to run. The `fit` driver is
+//! bit-for-bit the hand-written epoch loop it replaced.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use start_nn::graph::{Graph, NodeId};
 use start_nn::layers::Linear;
 use start_nn::params::{GradStore, ParamStore};
-use start_nn::train::{BatchTrainer, ShardResult};
-use start_nn::Array;
+use start_nn::train::{fit, BatchTrainer, FitArgs, ShardResult, Trainable, Warmup};
+use start_nn::{AdamW, AdamWConfig, Array, WarmupCosine};
 
 const DIM: usize = 4;
 
@@ -164,4 +168,178 @@ fn worker_panic_propagates_out_of_step_with_its_payload() {
         Ok(_) => panic!("step should have propagated the worker panic"),
     };
     assert_eq!(payload.downcast_ref::<&str>().copied(), Some("seeded shard failure"));
+}
+
+/// The toy linear model as a [`Trainable`] for the `fit` tests.
+struct Toy {
+    store: ParamStore,
+    fc: Linear,
+}
+
+impl Trainable for Toy {
+    fn store(&self) -> &ParamStore {
+        &self.store
+    }
+
+    fn store_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+}
+
+fn toy(seed: u64) -> Toy {
+    let (store, fc) = toy_model(seed);
+    Toy { store, fc }
+}
+
+fn fit_args(batch_size: usize, min_per_shard: usize) -> FitArgs {
+    FitArgs {
+        epochs: 3,
+        batch_size,
+        lr: 0.05,
+        warmup: Warmup::TenthOfSteps,
+        max_steps_per_epoch: Some(4),
+        grad_clip: 1.0,
+        seed: 9,
+        workers: 1,
+        min_per_shard,
+        train_from: None,
+    }
+}
+
+/// The loss every `fit` test trains: shard MSE, except that a batch holding
+/// item 5 yields no loss (so the engine skips it without an optimizer step).
+fn toy_loss(fc: &Linear, g: &mut Graph, shard: &[usize]) -> Option<ShardResult> {
+    (!shard.contains(&5)).then(|| shard_mse(fc, g, shard))
+}
+
+/// The epoch loop each model hand-copied before `fit`: shuffle, capped
+/// chunks, skip short batches, one graph per batch, clip, AdamW under
+/// warm-up + cosine, mean loss over the executed batches.
+fn hand_rolled_loop(toy: &mut Toy, n: usize, a: &FitArgs) -> Vec<f32> {
+    let bs = a.batch_size;
+    let mut rng = StdRng::seed_from_u64(a.seed);
+    let full = n / bs;
+    let steps = a.max_steps_per_epoch.map_or(full, |m| m.min(full)).max(1);
+    let executable =
+        (0..steps).filter(|i| n.saturating_sub(i * bs).min(bs) >= a.min_per_shard).count();
+    let total = ((executable * a.epochs) as u64).max(1);
+    let schedule = WarmupCosine::new(a.lr, (total / 10).max(1), total);
+    let mut optimizer = AdamW::new(&toy.store, AdamWConfig { lr: a.lr, ..Default::default() });
+    let mut indices: Vec<usize> = (0..n).collect();
+    let mut epoch_losses = Vec::new();
+    let mut step = 0u64;
+    for _ in 0..a.epochs {
+        indices.shuffle(&mut rng);
+        let (mut sum, mut executed) = (0.0f64, 0usize);
+        for batch in indices.chunks(bs).take(steps) {
+            if batch.len() < a.min_per_shard {
+                continue;
+            }
+            let mut grads = GradStore::new(&toy.store);
+            let mut g = Graph::new(&toy.store, true);
+            let Some(res) = toy_loss(&toy.fc, &mut g, batch) else { continue };
+            g.backward(res.loss, &mut grads);
+            let loss = g.value(res.loss).item();
+            drop(g);
+            grads.clip_global_norm(a.grad_clip);
+            optimizer.step(&mut toy.store, &grads, schedule.lr(step));
+            step += 1;
+            executed += 1;
+            sum += f64::from(loss);
+        }
+        epoch_losses.push((sum / executed.max(1) as f64) as f32);
+    }
+    epoch_losses
+}
+
+fn fit_toy(toy: &mut Toy, n: usize, a: &FitArgs) -> Vec<f32> {
+    let mut rng = StdRng::seed_from_u64(a.seed);
+    fit(toy, n, a, &mut rng, |m, g, shard, _| toy_loss(&m.fc, g, shard), |_, _, _, _| {})
+}
+
+fn param_bits(store: &ParamStore) -> Vec<Vec<u32>> {
+    store.iter().map(|(_, a)| a.data().iter().map(|x| x.to_bits()).collect()).collect()
+}
+
+#[test]
+fn fit_with_one_worker_is_bitwise_the_hand_rolled_epoch_loop() {
+    // 23 items in batches of 4 under a cap of 4 steps per epoch, with the
+    // batches holding item 5 skipped; then a lone item shorter than the
+    // 2-trajectory minimum, so every batch is skipped.
+    for (n, batch_size, min_per_shard) in [(23, 4, 1), (1, 4, 2)] {
+        let args = fit_args(batch_size, min_per_shard);
+        let (mut by_fit, mut by_hand) = (toy(7), toy(7));
+        let fit_losses = fit_toy(&mut by_fit, n, &args);
+        let hand_losses = hand_rolled_loop(&mut by_hand, n, &args);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fit_losses), bits(&hand_losses), "n = {n}: loss trace");
+        assert_eq!(param_bits(&by_fit.store), param_bits(&by_hand.store), "n = {n}: weights");
+        if n == 1 {
+            assert_eq!(param_bits(&by_fit.store), param_bits(&toy(7).store));
+        } else {
+            assert_ne!(param_bits(&by_fit.store), param_bits(&toy(7).store));
+        }
+    }
+}
+
+#[test]
+fn fit_panics_on_a_non_finite_loss_naming_the_op() {
+    if !start_nn::audit::audit_enabled() {
+        return; // release builds skip the check unless START_AUDIT=1
+    }
+    let mut model = toy(7);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let mut rng = StdRng::seed_from_u64(0);
+        fit(
+            &mut model,
+            16,
+            &fit_args(4, 1),
+            &mut rng,
+            |m, g, shard, _| {
+                let res = shard_mse(&m.fc, g, shard);
+                let loss = g.scale(res.loss, f32::NAN);
+                Some(ShardResult { loss, ..res })
+            },
+            |_, _, _, _| {},
+        )
+    }));
+    let payload = outcome.expect_err("a NaN loss must panic");
+    let msg = payload.downcast_ref::<String>().expect("formatted panic message");
+    assert!(msg.contains("non-finite training loss"), "{msg}");
+    assert!(msg.contains("produced by Scale"), "{msg}");
+}
+
+#[test]
+fn on_step_sees_post_step_weights_and_the_epoch_losses() {
+    let mut model = toy(7);
+    let initial = param_bits(&model.store);
+    let mut seen = Vec::new();
+    let mut rng = StdRng::seed_from_u64(9);
+    let losses = fit(
+        &mut model,
+        23,
+        &fit_args(4, 1),
+        &mut rng,
+        |m, g, shard, _| toy_loss(&m.fc, g, shard),
+        |m, stats, epoch, step| seen.push((epoch, step, stats.loss, param_bits(&m.store))),
+    );
+
+    assert!(seen.len() < 3 * 4, "some batch holding item 5 was skipped");
+    let steps: Vec<u64> = seen.iter().map(|s| s.1).collect();
+    assert_eq!(steps, (1..=seen.len() as u64).collect::<Vec<_>>());
+    assert_ne!(seen[0].3, initial, "the first hook already sees the first update");
+    for pair in seen.windows(2) {
+        assert_ne!(pair[0].3, pair[1].3, "each hook sees its own step's weights");
+    }
+    assert_eq!(seen.last().map(|s| &s.3), Some(&param_bits(&model.store)));
+
+    let means: Vec<u32> = (0..3)
+        .map(|e| {
+            let epoch: Vec<f64> =
+                seen.iter().filter(|s| s.0 == e).map(|s| f64::from(s.2)).collect();
+            (epoch.iter().sum::<f64>() / epoch.len().max(1) as f64) as f32
+        })
+        .map(f32::to_bits)
+        .collect();
+    assert_eq!(means, losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>());
 }

@@ -118,7 +118,7 @@ mod tests {
 
     #[test]
     fn gini_grows_with_skew() {
-        let hot: Vec<SegmentId> = std::iter::repeat(SegmentId(0)).take(99).collect();
+        let hot: Vec<SegmentId> = std::iter::repeat_n(SegmentId(0), 99).collect();
         let cold = seq(&[1]);
         let m = TransferMatrix::from_sequences(2, [hot.as_slice(), cold.as_slice()]);
         assert!(m.visit_gini() > 0.4, "gini = {}", m.visit_gini());
