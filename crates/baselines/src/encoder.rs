@@ -1,49 +1,22 @@
-//! The shared interface every baseline implements, plus the token embedder
-//! they all build on.
+//! The token embedder every baseline builds on, and the loss helper their
+//! pre-training shards share.
 //!
 //! Baselines differ in architecture (GRU vs Transformer) and self-supervised
 //! task (reconstruction, MLM, discrimination, mutual information), but all
 //! map a trajectory view to a pooled `(1, d)` representation inside a live
-//! autodiff graph — that is the [`BaselineEncoder`] contract, and the
-//! generic fine-tuning heads in [`crate::heads`] work against it.
+//! autodiff graph — the [`start_core::TrajEncoder`] contract, against which
+//! START's task heads fine-tune every model.
 
 use start_sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use start_nn::graph::{Graph, NodeId};
 use start_nn::layers::{sinusoidal_positional_encoding, Embedding};
 use start_nn::params::{Init, ParamId, ParamStore};
-use start_nn::train::{FitArgs, ShardResult, Trainable, Warmup};
+use start_nn::train::ShardResult;
 use start_nn::Array;
-use start_traj::{day_of_week_index, minute_index, TrajView, Trajectory};
-
-/// A pre-trainable trajectory encoder baseline; [`Trainable`] gives
-/// [`start_nn::fit`] its parameter store.
-pub trait BaselineEncoder: Trainable {
-    fn name(&self) -> &'static str;
-    fn dim(&self) -> usize;
-    fn max_len(&self) -> usize;
-
-    /// Pooled `(1, d)` representation of a view inside graph `g`.
-    fn pool(&self, g: &mut Graph, view: &TrajView, rng: &mut StdRng) -> NodeId;
-
-    /// Batch inference: embed trajectories (eval mode, chunked graphs).
-    fn encode(&self, trajectories: &[Trajectory]) -> Vec<Vec<f32>> {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut out = Vec::with_capacity(trajectories.len());
-        for chunk in trajectories.chunks(64) {
-            let mut g = Graph::new(self.store(), false);
-            for t in chunk {
-                let view = clamp_view(TrajView::identity(t), self.max_len());
-                let p = self.pool(&mut g, &view, &mut rng);
-                out.push(g.value(p).row(0).to_vec());
-            }
-        }
-        out
-    }
-}
+use start_traj::{day_of_week_index, minute_index, TrajView};
 
 /// The mean of per-example `losses` as one shard's [`ShardResult`],
 /// weighted by the shard's `len` trajectories.
@@ -54,24 +27,6 @@ pub(crate) fn mean_loss(g: &mut Graph, losses: &[NodeId], len: usize) -> ShardRe
     }
     let loss = g.scale(acc, 1.0 / losses.len() as f32);
     ShardResult { loss, weight: len as f32, components: Vec::new() }
-}
-
-/// Truncate a view to `max_len` tokens (prefix).
-pub fn clamp_view(mut view: TrajView, max_len: usize) -> TrajView {
-    if view.len() > max_len {
-        view.roads.truncate(max_len);
-        view.times.truncate(max_len);
-        view.masked.truncate(max_len);
-    }
-    view
-}
-
-/// A view revealing only the departure time (ETA fine-tuning, §IV-D2).
-pub fn departure_only_view(traj: &Trajectory) -> TrajView {
-    let mut v = TrajView::identity(traj);
-    let dep = traj.departure();
-    v.times = vec![dep; v.len()];
-    v
 }
 
 /// Token embedder shared by all baselines: road embedding (+ optional
@@ -192,58 +147,12 @@ impl SeqEmbedder {
     }
 }
 
-/// Shared pre-training loop parameters for all baselines.
-#[derive(Debug, Clone)]
-pub struct BaselineTrainConfig {
-    pub epochs: usize,
-    pub batch_size: usize,
-    pub lr: f32,
-    pub max_steps_per_epoch: Option<usize>,
-    pub grad_clip: f32,
-    pub seed: u64,
-    /// Data-parallel workers per optimizer step (`1` = legacy sequential
-    /// loop; see `start_nn::train`).
-    pub workers: usize,
-}
-
-impl BaselineTrainConfig {
-    /// The [`start_nn::fit`] settings of a run whose loss needs
-    /// `min_per_shard` trajectories per shard (2 for in-batch negatives).
-    pub(crate) fn fit_args(&self, min_per_shard: usize) -> FitArgs {
-        FitArgs {
-            epochs: self.epochs,
-            batch_size: self.batch_size,
-            lr: self.lr,
-            warmup: Warmup::TenthOfSteps,
-            max_steps_per_epoch: self.max_steps_per_epoch,
-            grad_clip: self.grad_clip,
-            seed: self.seed,
-            workers: self.workers,
-            min_per_shard,
-            train_from: None,
-        }
-    }
-}
-
-impl Default for BaselineTrainConfig {
-    fn default() -> Self {
-        Self {
-            epochs: 2,
-            batch_size: 16,
-            lr: 2e-4,
-            max_steps_per_epoch: None,
-            grad_clip: 5.0,
-            seed: 77,
-            workers: 1,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
     use start_roadnet::SegmentId;
-    use start_traj::TravelMode;
+    use start_traj::{Trajectory, TravelMode};
 
     fn traj(len: usize) -> Trajectory {
         Trajectory {
@@ -285,12 +194,5 @@ mod tests {
         let xm = emb.forward(&mut g, &masked, &mut rng);
         assert_ne!(g.value(xp).row(2), g.value(xm).row(2));
         assert_eq!(g.value(xp).row(3), g.value(xm).row(3));
-    }
-
-    #[test]
-    fn departure_view_levels_times() {
-        let t = traj(5);
-        let v = departure_only_view(&t);
-        assert!(v.times.iter().all(|&x| x == t.departure()));
     }
 }

@@ -17,14 +17,15 @@ use start_sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use start_core::{clamp_view, TrajEncoder};
 use start_nn::graph::{Graph, NodeId};
 use start_nn::layers::{GruCell, Linear};
 use start_nn::params::ParamStore;
-use start_nn::train::{fit, Trainable};
+use start_nn::train::{fit, TrainConfig, Trainable, Warmup};
 use start_nn::Array;
 use start_traj::{TrajView, Trajectory};
 
-use crate::encoder::{clamp_view, mean_loss, BaselineEncoder, BaselineTrainConfig, SeqEmbedder};
+use crate::encoder::{mean_loss, SeqEmbedder};
 
 /// Which member of the family this instance is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,11 +155,13 @@ impl GruSeq2Seq {
     }
 
     /// Self-supervised pre-training with the reconstruction objective.
-    pub fn pretrain(&mut self, train: &[Trajectory], cfg: &BaselineTrainConfig) -> Vec<f32> {
+    pub fn pretrain(&mut self, train: &[Trajectory], cfg: &TrainConfig) -> Vec<f32> {
         fit(
             self,
             train.len(),
-            &cfg.fit_args(1),
+            cfg,
+            Warmup::TenthOfSteps,
+            1,
             &mut StdRng::seed_from_u64(cfg.seed),
             |m, g, shard, r| {
                 let losses: Vec<NodeId> =
@@ -180,7 +183,7 @@ impl Trainable for GruSeq2Seq {
     }
 }
 
-impl BaselineEncoder for GruSeq2Seq {
+impl TrajEncoder for GruSeq2Seq {
     fn name(&self) -> &'static str {
         match self.kind {
             Seq2SeqKind::Traj2Vec => "traj2vec",
@@ -197,10 +200,16 @@ impl BaselineEncoder for GruSeq2Seq {
         self.max_len
     }
 
-    fn pool(&self, g: &mut Graph, view: &TrajView, rng: &mut StdRng) -> NodeId {
-        let xs = self.emb.forward(g, view, rng);
-        let hs = self.encoder.forward_sequence(g, xs);
-        g.select_row(hs, view.len() - 1)
+    /// The encoder's final hidden state per view.
+    fn pool_views(&self, g: &mut Graph, views: &[TrajView], rng: &mut StdRng) -> Vec<NodeId> {
+        views
+            .iter()
+            .map(|view| {
+                let xs = self.emb.forward(g, view, rng);
+                let hs = self.encoder.forward_sequence(g, xs);
+                g.select_row(hs, view.len() - 1)
+            })
+            .collect()
     }
 }
 
@@ -225,11 +234,12 @@ mod tests {
         let (city, d) = data();
         for kind in [Seq2SeqKind::Traj2Vec, Seq2SeqKind::T2Vec, Seq2SeqKind::Trembr] {
             let mut model = GruSeq2Seq::new(kind, city.net.num_segments(), 24, 64, 11);
-            let cfg = BaselineTrainConfig {
+            let cfg = TrainConfig {
                 epochs: 3,
                 batch_size: 8,
                 lr: 2e-3,
                 max_steps_per_epoch: Some(3),
+                seed: 77,
                 ..Default::default()
             };
             let losses = model.pretrain(&d, &cfg);
@@ -237,7 +247,8 @@ mod tests {
                 losses.last().unwrap() < losses.first().unwrap(),
                 "{kind:?} loss did not drop: {losses:?}"
             );
-            let embs = model.encode(&d[..4]);
+            let views: Vec<TrajView> = d[..4].iter().map(TrajView::identity).collect();
+            let embs = model.embed_views(&views);
             assert_eq!(embs[0].len(), 24);
             assert!(embs.iter().flatten().all(|v| v.is_finite()));
         }

@@ -11,24 +11,18 @@
 //!   (node2vec + MLM + trajectory discrimination), the latter two also via
 //!   [`TransformerBaseline`].
 //!
-//! All expose the [`BaselineEncoder`] trait; [`heads`] provides the shared
-//! fine-tuning protocol (identical to START's, per §IV-C1).
+//! All implement [`start_core::TrajEncoder`], so START's task heads
+//! (`start_core::downstream`) fine-tune them under the same protocol as
+//! START itself (§IV-C1).
 
 pub mod encoder;
 pub mod gru_seq2seq;
-pub mod heads;
 pub mod pim;
 pub mod transformer_family;
 pub mod verify;
 
-pub use encoder::{
-    clamp_view, departure_only_view, BaselineEncoder, BaselineTrainConfig, SeqEmbedder,
-};
+pub use encoder::SeqEmbedder;
 pub use gru_seq2seq::{GruSeq2Seq, Seq2SeqKind};
-pub use heads::{
-    fine_tune_classifier, fine_tune_eta, predict_classes, predict_eta, GenericClassifierHead,
-    GenericEtaHead,
-};
 pub use pim::Pim;
 pub use transformer_family::{TfKind, TransformerBaseline};
 pub use verify::symbolic_families;

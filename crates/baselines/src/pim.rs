@@ -9,14 +9,15 @@ use start_sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use start_core::{clamp_view, TrajEncoder};
 use start_nn::graph::{Graph, NodeId};
 use start_nn::layers::GruCell;
 use start_nn::params::ParamStore;
-use start_nn::train::{fit, Trainable};
+use start_nn::train::{fit, TrainConfig, Trainable, Warmup};
 use start_nn::Array;
 use start_traj::{TrajView, Trajectory};
 
-use crate::encoder::{clamp_view, mean_loss, BaselineEncoder, BaselineTrainConfig, SeqEmbedder};
+use crate::encoder::{mean_loss, SeqEmbedder};
 
 /// The RNN variant of PIM (the paper's PIM baseline; PIM-TF lives in
 /// [`crate::transformer_family`]).
@@ -110,13 +111,15 @@ impl Pim {
     }
 
     /// Pre-train with the mutual-information objective.
-    pub fn pretrain(&mut self, train: &[Trajectory], cfg: &BaselineTrainConfig) -> Vec<f32> {
+    pub fn pretrain(&mut self, train: &[Trajectory], cfg: &TrainConfig) -> Vec<f32> {
         // In-batch negatives come from the shard, so shards need at least
         // two trajectories.
         fit(
             self,
             train.len(),
-            &cfg.fit_args(2),
+            cfg,
+            Warmup::TenthOfSteps,
+            2,
             &mut StdRng::seed_from_u64(cfg.seed),
             |m, g, shard, r| {
                 let losses: Vec<NodeId> = shard
@@ -144,7 +147,7 @@ impl Trainable for Pim {
     }
 }
 
-impl BaselineEncoder for Pim {
+impl TrajEncoder for Pim {
     fn name(&self) -> &'static str {
         "PIM"
     }
@@ -157,9 +160,9 @@ impl BaselineEncoder for Pim {
         self.max_len
     }
 
-    fn pool(&self, g: &mut Graph, view: &TrajView, rng: &mut StdRng) -> NodeId {
-        let (_, global) = self.encode_in_graph(g, view, rng);
-        global
+    /// The global path representation per view.
+    fn pool_views(&self, g: &mut Graph, views: &[TrajView], rng: &mut StdRng) -> Vec<NodeId> {
+        views.iter().map(|view| self.encode_in_graph(g, view, rng).1).collect()
     }
 }
 
@@ -183,17 +186,19 @@ mod tests {
             &Node2VecConfig { dim: 24, epochs: 1, walks_per_node: 2, ..Default::default() },
         );
         let mut pim = Pim::new(city.net.num_segments(), 24, 64, n2v.data(), 5);
-        let cfg = BaselineTrainConfig {
+        let cfg = TrainConfig {
             epochs: 2,
             batch_size: 8,
             lr: 1e-3,
             max_steps_per_epoch: Some(3),
+            seed: 77,
             ..Default::default()
         };
         let losses = pim.pretrain(&d, &cfg);
         assert!(losses.iter().all(|l| l.is_finite()));
         assert!(losses.last().unwrap() <= losses.first().unwrap());
-        let embs = pim.encode(&d[..4]);
+        let views: Vec<TrajView> = d[..4].iter().map(TrajView::identity).collect();
+        let embs = pim.embed_views(&views);
         assert_eq!(embs.len(), 4);
         assert_eq!(embs[0].len(), 24);
     }

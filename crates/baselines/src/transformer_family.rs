@@ -10,14 +10,15 @@ use start_sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use start_core::{clamp_view, TrajEncoder};
 use start_nn::graph::{Graph, NodeId};
 use start_nn::layers::{Linear, TransformerEncoder};
 use start_nn::params::ParamStore;
-use start_nn::train::{fit, Trainable};
+use start_nn::train::{fit, TrainConfig, Trainable, Warmup};
 use start_roadnet::SegmentId;
 use start_traj::{TrajView, Trajectory};
 
-use crate::encoder::{clamp_view, mean_loss, BaselineEncoder, BaselineTrainConfig, SeqEmbedder};
+use crate::encoder::{mean_loss, SeqEmbedder};
 
 /// Which member of the transformer family this instance is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,14 +249,16 @@ impl TransformerBaseline {
     }
 
     /// Pre-train with this variant's objective mix.
-    pub fn pretrain(&mut self, train: &[Trajectory], cfg: &BaselineTrainConfig) -> Vec<f32> {
+    pub fn pretrain(&mut self, train: &[Trajectory], cfg: &TrainConfig) -> Vec<f32> {
         // PIM-TF draws its negative from the next trajectory in the shard,
         // so shards must hold at least two trajectories.
         let min_per_shard = if self.kind == TfKind::PimTf { 2 } else { 1 };
         fit(
             self,
             train.len(),
-            &cfg.fit_args(min_per_shard),
+            cfg,
+            Warmup::TenthOfSteps,
+            min_per_shard,
             &mut StdRng::seed_from_u64(cfg.seed),
             |m, g, shard, r| {
                 let mut losses = Vec::new();
@@ -301,7 +304,7 @@ impl Trainable for TransformerBaseline {
     }
 }
 
-impl BaselineEncoder for TransformerBaseline {
+impl TrajEncoder for TransformerBaseline {
     fn name(&self) -> &'static str {
         match self.kind {
             TfKind::TransformerMlm => "Transformer",
@@ -319,9 +322,9 @@ impl BaselineEncoder for TransformerBaseline {
         self.max_len
     }
 
-    fn pool(&self, g: &mut Graph, view: &TrajView, rng: &mut StdRng) -> NodeId {
-        let (_, pooled) = self.encode_in_graph(g, view, rng);
-        pooled
+    /// The `[CLS]` hidden state per view.
+    fn pool_views(&self, g: &mut Graph, views: &[TrajView], rng: &mut StdRng) -> Vec<NodeId> {
+        views.iter().map(|view| self.encode_in_graph(g, view, rng).1).collect()
     }
 }
 
@@ -353,16 +356,18 @@ mod tests {
         for kind in [TfKind::TransformerMlm, TfKind::Bert, TfKind::Toast, TfKind::PimTf] {
             let table = matches!(kind, TfKind::Toast).then_some(n2v.data());
             let mut model = TransformerBaseline::new(kind, n, 24, 2, 2, 64, table, 3);
-            let cfg = BaselineTrainConfig {
+            let cfg = TrainConfig {
                 epochs: 2,
                 batch_size: 6,
                 lr: 1e-3,
                 max_steps_per_epoch: Some(2),
+                seed: 77,
                 ..Default::default()
             };
             let losses = model.pretrain(&d, &cfg);
             assert!(losses.iter().all(|l| l.is_finite()), "{kind:?}: {losses:?}");
-            let embs = model.encode(&d[..3]);
+            let views: Vec<TrajView> = d[..3].iter().map(TrajView::identity).collect();
+            let embs = model.embed_views(&views);
             assert_eq!(embs[0].len(), 24);
         }
     }

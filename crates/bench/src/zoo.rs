@@ -2,16 +2,13 @@
 //! interface, so every experiment binary trains and evaluates models
 //! uniformly.
 
-use start_baselines::{
-    BaselineEncoder, BaselineTrainConfig, GruSeq2Seq, Pim, Seq2SeqKind, TfKind, TransformerBaseline,
-};
+use start_baselines::{GruSeq2Seq, Pim, Seq2SeqKind, TfKind, TransformerBaseline};
 use start_core::{
-    fine_tune_classifier, fine_tune_eta, predict_classes, predict_eta, pretrain, EncodeOptions,
-    FineTuneConfig, PretrainConfig, StartConfig, StartModel,
+    fine_tune_classifier, fine_tune_eta, predict_classes, predict_eta, pretrain, PretrainConfig,
+    StartConfig, StartModel, TrainConfig, TrajEncoder,
 };
-use start_nn::Trainable;
 use start_roadnet::{node2vec, Node2VecConfig, NodeEmbeddings};
-use start_traj::{TrajDataset, Trajectory};
+use start_traj::{TrajDataset, TrajView, Trajectory};
 
 use crate::scale::Scale;
 
@@ -170,38 +167,51 @@ impl Runner {
         }
     }
 
-    pub fn name(&self) -> &'static str {
+    /// The model behind the runner, for everything but pre-training.
+    fn model(&self) -> &dyn TrajEncoder {
         match self {
-            Runner::Start(_) => "START",
-            Runner::Gru(m) => m.name(),
-            Runner::Tf(m) => m.name(),
-            Runner::Pim(m) => m.name(),
+            Runner::Start(m) => &**m,
+            Runner::Gru(m) => m,
+            Runner::Tf(m) => m,
+            Runner::Pim(m) => m,
         }
+    }
+
+    fn model_mut(&mut self) -> &mut dyn TrajEncoder {
+        match self {
+            Runner::Start(m) => &mut **m,
+            Runner::Gru(m) => m,
+            Runner::Tf(m) => m,
+            Runner::Pim(m) => m,
+        }
+    }
+
+    pub fn name(&self) -> &'static str {
+        self.model().name()
     }
 
     /// Self-supervised pre-training at the given scale.
     pub fn pretrain(&mut self, ds: &TrajDataset, scale: &Scale) {
+        let (epochs, max_steps, lr) = (scale.pretrain_epochs, scale.pretrain_steps_per_epoch, 5e-4);
+        let cfg = train_cfg(epochs, max_steps, lr, BASELINE_SEED, scale);
         match self {
             Runner::Start(model) => {
                 let cfg = PretrainConfig {
-                    epochs: scale.pretrain_epochs,
+                    epochs,
                     batch_size: scale.batch_size,
-                    max_steps_per_epoch: scale.pretrain_steps_per_epoch,
-                    base_lr: 5e-4,
+                    max_steps_per_epoch: max_steps,
+                    base_lr: lr,
                     ..Default::default()
                 };
                 pretrain(model, ds.train(), &ds.historical, &cfg);
             }
             Runner::Gru(model) => {
-                let cfg = baseline_cfg(scale);
                 model.pretrain(ds.train(), &cfg);
             }
             Runner::Tf(model) => {
-                let cfg = baseline_cfg(scale);
                 model.pretrain(ds.train(), &cfg);
             }
             Runner::Pim(model) => {
-                let cfg = baseline_cfg(scale);
                 model.pretrain(ds.train(), &cfg);
             }
         }
@@ -209,70 +219,38 @@ impl Runner {
 
     /// Zero-shot trajectory embeddings.
     pub fn encode(&self, trajs: &[Trajectory]) -> Vec<Vec<f32>> {
-        match self {
-            Runner::Start(model) => model
-                .encoder()
-                .encode(trajs, &EncodeOptions::default())
-                .unwrap_or_else(|e| panic!("encode: {e}")),
-            Runner::Gru(model) => model.encode(trajs),
-            Runner::Tf(model) => model.encode(trajs),
-            Runner::Pim(model) => model.encode(trajs),
-        }
+        let views: Vec<TrajView> = trajs.iter().map(TrajView::identity).collect();
+        self.model().embed_views(&views)
     }
 
     /// Snapshot all weights (used to fine-tune per-task from one pre-train).
     pub fn snapshot(&self) -> Vec<u8> {
-        start_nn::serialize::save_params(self.store()).to_vec()
+        start_nn::serialize::save_params(self.model().store()).to_vec()
     }
 
     /// Restore weights from [`Runner::snapshot`] (head weights are ignored
     /// if the blob lacks them).
     pub fn restore(&mut self, blob: &[u8]) {
-        start_nn::serialize::load_params(self.store_mut(), blob).expect("valid snapshot");
+        start_nn::serialize::load_params(self.model_mut().store_mut(), blob)
+            .expect("valid snapshot");
     }
 
-    fn store(&self) -> &start_nn::ParamStore {
-        match self {
-            Runner::Start(m) => &m.store,
-            Runner::Gru(m) => m.store(),
-            Runner::Tf(m) => m.store(),
-            Runner::Pim(m) => m.store(),
-        }
-    }
-
-    fn store_mut(&mut self) -> &mut start_nn::ParamStore {
-        match self {
-            Runner::Start(m) => &mut m.store,
-            Runner::Gru(m) => m.store_mut(),
-            Runner::Tf(m) => m.store_mut(),
-            Runner::Pim(m) => m.store_mut(),
-        }
+    /// Fine-tuning settings at `scale`: START and the baselines share every
+    /// value but the seed.
+    fn ft_cfg(&self, scale: &Scale) -> TrainConfig {
+        let seed = match self {
+            Runner::Start(_) => TrainConfig::default().seed,
+            _ => BASELINE_SEED,
+        };
+        train_cfg(scale.finetune_epochs, scale.finetune_steps_per_epoch, 1e-3, seed, scale)
     }
 
     /// Fine-tune for ETA and predict on the test set (seconds).
     pub fn eta(&mut self, train: &[Trajectory], test: &[Trajectory], scale: &Scale) -> Vec<f32> {
-        match self {
-            Runner::Start(model) => {
-                let cfg = ft_cfg(scale);
-                let head = fine_tune_eta(model, train, &cfg);
-                predict_eta(model, &head, test)
-            }
-            Runner::Gru(model) => {
-                let cfg = baseline_ft_cfg(scale);
-                let head = start_baselines::fine_tune_eta(model, train, &cfg);
-                start_baselines::predict_eta(model, &head, test)
-            }
-            Runner::Tf(model) => {
-                let cfg = baseline_ft_cfg(scale);
-                let head = start_baselines::fine_tune_eta(model, train, &cfg);
-                start_baselines::predict_eta(model, &head, test)
-            }
-            Runner::Pim(model) => {
-                let cfg = baseline_ft_cfg(scale);
-                let head = start_baselines::fine_tune_eta(model, train, &cfg);
-                start_baselines::predict_eta(model, &head, test)
-            }
-        }
+        let cfg = self.ft_cfg(scale);
+        let model = self.model_mut();
+        let head = fine_tune_eta(model, train, &cfg);
+        predict_eta(model, &head, test)
     }
 
     /// Fine-tune a classifier and return test-set class probabilities.
@@ -284,60 +262,30 @@ impl Runner {
         test: &[Trajectory],
         scale: &Scale,
     ) -> Vec<Vec<f32>> {
-        match self {
-            Runner::Start(model) => {
-                let cfg = ft_cfg(scale);
-                let head = fine_tune_classifier(model, train, labels, num_classes, &cfg);
-                predict_classes(model, &head, test)
-            }
-            Runner::Gru(model) => {
-                let cfg = baseline_ft_cfg(scale);
-                let head =
-                    start_baselines::fine_tune_classifier(model, train, labels, num_classes, &cfg);
-                start_baselines::predict_classes(model, &head, test)
-            }
-            Runner::Tf(model) => {
-                let cfg = baseline_ft_cfg(scale);
-                let head =
-                    start_baselines::fine_tune_classifier(model, train, labels, num_classes, &cfg);
-                start_baselines::predict_classes(model, &head, test)
-            }
-            Runner::Pim(model) => {
-                let cfg = baseline_ft_cfg(scale);
-                let head =
-                    start_baselines::fine_tune_classifier(model, train, labels, num_classes, &cfg);
-                start_baselines::predict_classes(model, &head, test)
-            }
-        }
+        let cfg = self.ft_cfg(scale);
+        let model = self.model_mut();
+        let head = fine_tune_classifier(model, train, labels, num_classes, &cfg);
+        predict_classes(model, &head, test)
     }
 }
 
-fn baseline_cfg(scale: &Scale) -> BaselineTrainConfig {
-    BaselineTrainConfig {
-        epochs: scale.pretrain_epochs,
-        batch_size: scale.batch_size,
-        max_steps_per_epoch: scale.pretrain_steps_per_epoch,
-        lr: 5e-4,
-        ..Default::default()
-    }
-}
+/// Seed of every baseline training run.
+const BASELINE_SEED: u64 = 77;
 
-fn ft_cfg(scale: &Scale) -> FineTuneConfig {
-    FineTuneConfig {
-        epochs: scale.finetune_epochs,
+/// Training settings at the experiment scale.
+fn train_cfg(
+    epochs: usize,
+    max_steps_per_epoch: Option<usize>,
+    lr: f32,
+    seed: u64,
+    scale: &Scale,
+) -> TrainConfig {
+    TrainConfig {
+        epochs,
         batch_size: scale.batch_size,
-        max_steps_per_epoch: scale.finetune_steps_per_epoch,
-        lr: 1e-3,
-        ..Default::default()
-    }
-}
-
-fn baseline_ft_cfg(scale: &Scale) -> BaselineTrainConfig {
-    BaselineTrainConfig {
-        epochs: scale.finetune_epochs,
-        batch_size: scale.batch_size,
-        max_steps_per_epoch: scale.finetune_steps_per_epoch,
-        lr: 1e-3,
+        max_steps_per_epoch,
+        lr,
+        seed,
         ..Default::default()
     }
 }

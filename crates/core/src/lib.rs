@@ -33,16 +33,17 @@ pub mod verify;
 pub use config::{ConfigError, IntervalMode, RoadEncoder, StartConfig, StartConfigBuilder};
 pub use downstream::{
     euclidean, fine_tune_classifier, fine_tune_eta, predict_classes, predict_eta, ClassifierHead,
-    EtaHead, FineTuneConfig,
+    EtaHead, TrajEncoder,
 };
 pub use encoder::{
     fingerprint_view, CacheStats, Embedding, EmbeddingCache, EncodeError, EncodeOptions, Encoder,
     Fingerprint,
 };
-pub use model::{clamp_view, EncodedView, StartModel};
+pub use model::{clamp_view, departure_only_view, EncodedView, StartModel};
 pub use pretrain::{
     build_shard_loss, pretrain, pretrain_with_publish, PretrainConfig, PretrainReport,
     StandardShard,
 };
+pub use start_nn::TrainConfig;
 pub use tpe_gat::TpeGat;
 pub use verify::{broken_families, symbolic_families, VerifyFixture};

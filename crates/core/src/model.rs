@@ -302,16 +302,16 @@ impl StartModel {
     pub fn adopt_weights(&mut self, src: &StartModel) -> usize {
         self.store.load_matching(&src.store)
     }
+}
 
-    /// A view that reveals only the *departure time* (all roads stamped with
-    /// it), used for travel-time-estimation fine-tuning to avoid leaking the
-    /// answer through per-road timestamps (§IV-D2).
-    pub fn departure_only_view(traj: &Trajectory) -> TrajView {
-        let mut v = TrajView::identity(traj);
-        let dep = traj.departure();
-        v.times = vec![dep; v.len()];
-        v
-    }
+/// A view that reveals only the *departure time* (all roads stamped with
+/// it), used for travel-time-estimation fine-tuning to avoid leaking the
+/// answer through per-road timestamps (§IV-D2).
+pub fn departure_only_view(traj: &Trajectory) -> TrajView {
+    let mut v = TrajView::identity(traj);
+    let dep = traj.departure();
+    v.times = vec![dep; v.len()];
+    v
 }
 
 /// Truncate a trajectory view to a maximum length (keeps the prefix).
@@ -419,7 +419,7 @@ mod tests {
     #[test]
     fn departure_only_view_hides_progress_times() {
         let (_, data, _) = setup();
-        let v = StartModel::departure_only_view(&data[0]);
+        let v = departure_only_view(&data[0]);
         assert!(v.times.iter().all(|&t| t == data[0].departure()));
     }
 

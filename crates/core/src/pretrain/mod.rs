@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use start_nn::graph::Graph;
-use start_nn::train::{fit, FitArgs, PublishCadence, ShardResult, Warmup};
+use start_nn::train::{fit, PublishCadence, ShardResult, TrainConfig, Warmup};
 use start_traj::{TrajView, Trajectory};
 
 use crate::model::{clamp_view, StartModel};
@@ -244,19 +244,14 @@ pub fn pretrain_with_publish(
         model.cfg.use_mask_loss || model.cfg.use_contrastive_loss,
         "at least one self-supervised task must be enabled"
     );
-    let args = FitArgs {
+    let train_cfg = TrainConfig {
         epochs: cfg.epochs,
         batch_size: cfg.batch_size,
         lr: cfg.base_lr,
-        warmup: Warmup::Fraction(cfg.warmup_frac),
         max_steps_per_epoch: cfg.max_steps_per_epoch,
         grad_clip: cfg.grad_clip,
         seed: cfg.seed,
         workers: cfg.workers,
-        // NT-Xent needs two anchors per shard; with more workers each shard
-        // draws its negatives only from its own trajectories.
-        min_per_shard: 2,
-        train_from: None,
     };
     let mut report = PretrainReport::default();
     // Mask / contrastive means summed over the executed steps of the latest
@@ -266,7 +261,11 @@ pub fn pretrain_with_publish(
     report.epoch_losses = fit(
         model,
         train.len(),
-        &args,
+        &train_cfg,
+        Warmup::Fraction(cfg.warmup_frac),
+        // NT-Xent needs two anchors per shard; with more workers each shard
+        // draws its negatives only from its own trajectories.
+        2,
         &mut StdRng::seed_from_u64(cfg.seed),
         |m, g, shard, r| build_shard_loss(m, train, historical, g, shard, r),
         |m, stats, epoch, step| {

@@ -33,7 +33,8 @@ use start_nn::Array;
 use start_sync::Arc;
 use start_traj::{TrajView, Trajectory};
 
-use crate::model::{clamp_view, StartModel};
+use crate::downstream::TrajEncoder;
+use crate::model::{clamp_view, departure_only_view, StartModel};
 use crate::pretrain::{build_shard_loss, StandardShard};
 
 /// Classes of the synthetic classification head.
@@ -100,21 +101,11 @@ impl VerifyFixture {
         n: usize,
         departure_only: bool,
     ) -> NodeId {
-        let mut rng = StdRng::seed_from_u64(43);
+        let view = if departure_only { departure_only_view } else { TrajView::identity };
         let model = self.model();
-        let road_reprs = model.road_reprs(g);
-        let mut pooled = Vec::new();
-        for b in 0..2 {
-            let traj = self.resized_traj(b, n);
-            let view = if departure_only {
-                StartModel::departure_only_view(&traj)
-            } else {
-                TrajView::identity(&traj)
-            };
-            let view = clamp_view(view, model.cfg.max_len);
-            let enc = model.encode_view(g, &view, road_reprs, &mut rng);
-            pooled.push(enc.pooled);
-        }
+        let views: Vec<TrajView> =
+            (0..2).map(|b| clamp_view(view(&self.resized_traj(b, n)), model.cfg.max_len)).collect();
+        let pooled = model.pool_views(g, &views, &mut StdRng::seed_from_u64(43));
         g.concat_rows(&pooled)
     }
 }

@@ -68,6 +68,6 @@ pub use symbolic::{
     NUM_ANCHORS,
 };
 pub use train::{
-    fit, BatchTrainer, FitArgs, MemoryReport, PublishCadence, ShardResult, StepStats, Trainable,
-    Warmup,
+    fit, BatchTrainer, MemoryReport, PublishCadence, ShardResult, StepStats, TrainConfig,
+    Trainable, Warmup,
 };

@@ -186,16 +186,6 @@ impl GradStore {
         self.grads[id.0].as_ref()
     }
 
-    /// Drop gradients for parameters not matching the predicate (used to
-    /// freeze sub-networks during fine-tuning).
-    pub fn retain(&mut self, keep: impl Fn(ParamId) -> bool) {
-        for (i, g) in self.grads.iter_mut().enumerate() {
-            if !keep(ParamId(i)) {
-                *g = None;
-            }
-        }
-    }
-
     /// Element-wise add every gradient of `other` into `self`.
     ///
     /// This is the reduction step of the data-parallel

@@ -41,7 +41,7 @@ use crate::finding::Findings;
 use crate::graph::{Graph, NodeId};
 use crate::liveness::{memory_planning_enabled, MemoryPlan};
 use crate::optim::{AdamW, AdamWConfig};
-use crate::params::{GradStore, ParamId, ParamStore};
+use crate::params::{GradStore, ParamStore};
 use crate::pool::BufferPool;
 use crate::schedule::WarmupCosine;
 
@@ -359,23 +359,36 @@ pub enum Warmup {
     TenthOfSteps,
 }
 
-/// Settings of one [`fit`] run; each model config maps onto these.
+/// The training settings every model shares (§IV-C1: "the baselines have
+/// the same settings as START"). [`fit`] reads them directly; what differs
+/// per loss — the [`Warmup`] rule and the shortest shard — is a `fit`
+/// argument instead.
 #[derive(Debug, Clone)]
-pub struct FitArgs {
+pub struct TrainConfig {
     pub epochs: usize,
     pub batch_size: usize,
     pub lr: f32,
-    pub warmup: Warmup,
+    /// Optional cap on optimizer steps per epoch.
     pub max_steps_per_epoch: Option<usize>,
     pub grad_clip: f32,
     pub seed: u64,
+    /// Data-parallel workers per optimizer step (`1` = the sequential loop;
+    /// see [`BatchTrainer`]).
     pub workers: usize,
-    /// Shortest batch (and shard) the loss accepts: 2 for in-batch
-    /// negatives, else 1. Shorter batches are skipped.
-    pub min_per_shard: usize,
-    /// Update only parameters allocated at or after this one (a frozen
-    /// encoder under a fresh task head).
-    pub train_from: Option<ParamId>,
+}
+
+impl Default for TrainConfig {
+    fn default() -> Self {
+        Self {
+            epochs: 3,
+            batch_size: 16,
+            lr: 2e-4,
+            max_steps_per_epoch: None,
+            grad_clip: 5.0,
+            seed: 31,
+            workers: 1,
+        }
+    }
 }
 
 /// The one training loop (§IV-C: AdamW under warm-up + cosine decay, the
@@ -383,49 +396,52 @@ pub struct FitArgs {
 ///
 /// Each epoch shuffles `0..n_items` with `rng` and takes at most
 /// `max_steps_per_epoch` chunks of `batch_size`, skipping those shorter
-/// than `min_per_shard`. Each batch runs one [`BatchTrainer::step`] over
-/// `shard_loss`, then the `train_from` filter, clipping and one AdamW step
-/// (none when every shard yields `None`); `on_step(model, stats, epoch,
-/// completed_steps)` then sees the post-step weights. When
-/// [`audit_enabled`], the first shard tape is audited and every shard loss
-/// must be finite, else the panic names the op that produced the NaN/Inf.
+/// than `min_per_shard` (2 for losses with in-batch negatives, else 1).
+/// Each batch runs one [`BatchTrainer::step`] over `shard_loss`, then
+/// clipping and one AdamW step (none when every shard yields `None`);
+/// `on_step(model, stats, epoch, completed_steps)` then sees the post-step
+/// weights. When [`audit_enabled`], the first shard tape is audited and
+/// every shard loss must be finite, else the panic names the op that
+/// produced the NaN/Inf.
 /// Returns each epoch's mean loss over the batches it executed.
+#[allow(clippy::too_many_arguments)]
 pub fn fit<M, S, H>(
     model: &mut M,
     n_items: usize,
-    args: &FitArgs,
+    cfg: &TrainConfig,
+    warmup: Warmup,
+    min_per_shard: usize,
     rng: &mut StdRng,
     shard_loss: S,
     mut on_step: H,
 ) -> Vec<f32>
 where
-    M: Trainable,
+    M: Trainable + ?Sized,
     S: Fn(&M, &mut Graph, &[usize], &mut StdRng) -> Option<ShardResult> + Sync,
     H: FnMut(&M, &StepStats, usize, u64),
 {
-    let (bs, min) = (args.batch_size, args.min_per_shard);
+    let (bs, min) = (cfg.batch_size, min_per_shard);
     let full = n_items / bs;
-    let steps_per_epoch = args.max_steps_per_epoch.map_or(full, |m| m.min(full)).max(1);
+    let steps_per_epoch = cfg.max_steps_per_epoch.map_or(full, |m| m.min(full)).max(1);
     // Chunk lengths are data-independent, so the schedule can span exactly
     // the steps that are not skipped.
     let executable =
         (0..steps_per_epoch).filter(|i| n_items.saturating_sub(i * bs).min(bs) >= min).count();
-    let total = ((executable * args.epochs) as u64).max(1);
-    let warmup = match args.warmup {
+    let total = ((executable * cfg.epochs) as u64).max(1);
+    let warmup = match warmup {
         Warmup::Fraction(frac) => (total as f32 * frac) as u64,
         Warmup::TenthOfSteps => total / 10,
     };
-    let schedule = WarmupCosine::new(args.lr, warmup.max(1), total);
-    let mut trainer = BatchTrainer::new(args.workers, args.seed);
-    let mut optimizer =
-        AdamW::new(model.store(), AdamWConfig { lr: args.lr, ..Default::default() });
+    let schedule = WarmupCosine::new(cfg.lr, warmup.max(1), total);
+    let mut trainer = BatchTrainer::new(cfg.workers, cfg.seed);
+    let mut optimizer = AdamW::new(model.store(), AdamWConfig { lr: cfg.lr, ..Default::default() });
     let audit_on = audit_enabled();
     let audit_pending = AtomicBool::new(audit_on);
 
     let mut indices: Vec<usize> = (0..n_items).collect();
-    let mut epoch_losses = Vec::with_capacity(args.epochs);
+    let mut epoch_losses = Vec::with_capacity(cfg.epochs);
     let mut step = 0u64;
-    for epoch in 0..args.epochs {
+    for epoch in 0..cfg.epochs {
         indices.shuffle(rng);
         let (mut epoch_loss, mut executed) = (0.0f64, 0usize);
         for batch in indices.chunks(bs).take(steps_per_epoch) {
@@ -445,10 +461,7 @@ where
             else {
                 continue;
             };
-            if let Some(first) = args.train_from {
-                grads.retain(|id| id.index() >= first.index());
-            }
-            grads.clip_global_norm(args.grad_clip);
+            grads.clip_global_norm(cfg.grad_clip);
             optimizer.step(model.store_mut(), &grads, schedule.lr(step));
             step += 1;
             executed += 1;

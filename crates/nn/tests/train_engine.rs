@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use start_nn::graph::{Graph, NodeId};
 use start_nn::layers::Linear;
 use start_nn::params::{GradStore, ParamStore};
-use start_nn::train::{fit, BatchTrainer, FitArgs, ShardResult, Trainable, Warmup};
+use start_nn::train::{fit, BatchTrainer, ShardResult, TrainConfig, Trainable, Warmup};
 use start_nn::{AdamW, AdamWConfig, Array, WarmupCosine};
 
 const DIM: usize = 4;
@@ -191,18 +191,15 @@ fn toy(seed: u64) -> Toy {
     Toy { store, fc }
 }
 
-fn fit_args(batch_size: usize, min_per_shard: usize) -> FitArgs {
-    FitArgs {
+fn train_cfg(batch_size: usize) -> TrainConfig {
+    TrainConfig {
         epochs: 3,
         batch_size,
         lr: 0.05,
-        warmup: Warmup::TenthOfSteps,
         max_steps_per_epoch: Some(4),
         grad_clip: 1.0,
         seed: 9,
         workers: 1,
-        min_per_shard,
-        train_from: None,
     }
 }
 
@@ -215,13 +212,13 @@ fn toy_loss(fc: &Linear, g: &mut Graph, shard: &[usize]) -> Option<ShardResult> 
 /// The epoch loop each model hand-copied before `fit`: shuffle, capped
 /// chunks, skip short batches, one graph per batch, clip, AdamW under
 /// warm-up + cosine, mean loss over the executed batches.
-fn hand_rolled_loop(toy: &mut Toy, n: usize, a: &FitArgs) -> Vec<f32> {
+fn hand_rolled_loop(toy: &mut Toy, n: usize, a: &TrainConfig, min_per_shard: usize) -> Vec<f32> {
     let bs = a.batch_size;
     let mut rng = StdRng::seed_from_u64(a.seed);
     let full = n / bs;
     let steps = a.max_steps_per_epoch.map_or(full, |m| m.min(full)).max(1);
     let executable =
-        (0..steps).filter(|i| n.saturating_sub(i * bs).min(bs) >= a.min_per_shard).count();
+        (0..steps).filter(|i| n.saturating_sub(i * bs).min(bs) >= min_per_shard).count();
     let total = ((executable * a.epochs) as u64).max(1);
     let schedule = WarmupCosine::new(a.lr, (total / 10).max(1), total);
     let mut optimizer = AdamW::new(&toy.store, AdamWConfig { lr: a.lr, ..Default::default() });
@@ -232,7 +229,7 @@ fn hand_rolled_loop(toy: &mut Toy, n: usize, a: &FitArgs) -> Vec<f32> {
         indices.shuffle(&mut rng);
         let (mut sum, mut executed) = (0.0f64, 0usize);
         for batch in indices.chunks(bs).take(steps) {
-            if batch.len() < a.min_per_shard {
+            if batch.len() < min_per_shard {
                 continue;
             }
             let mut grads = GradStore::new(&toy.store);
@@ -252,9 +249,10 @@ fn hand_rolled_loop(toy: &mut Toy, n: usize, a: &FitArgs) -> Vec<f32> {
     epoch_losses
 }
 
-fn fit_toy(toy: &mut Toy, n: usize, a: &FitArgs) -> Vec<f32> {
+fn fit_toy(toy: &mut Toy, n: usize, a: &TrainConfig, min_per_shard: usize) -> Vec<f32> {
     let mut rng = StdRng::seed_from_u64(a.seed);
-    fit(toy, n, a, &mut rng, |m, g, shard, _| toy_loss(&m.fc, g, shard), |_, _, _, _| {})
+    let loss = |m: &Toy, g: &mut Graph, shard: &[usize], _: &mut StdRng| toy_loss(&m.fc, g, shard);
+    fit(toy, n, a, Warmup::TenthOfSteps, min_per_shard, &mut rng, loss, |_, _, _, _| {})
 }
 
 fn param_bits(store: &ParamStore) -> Vec<Vec<u32>> {
@@ -267,10 +265,10 @@ fn fit_with_one_worker_is_bitwise_the_hand_rolled_epoch_loop() {
     // batches holding item 5 skipped; then a lone item shorter than the
     // 2-trajectory minimum, so every batch is skipped.
     for (n, batch_size, min_per_shard) in [(23, 4, 1), (1, 4, 2)] {
-        let args = fit_args(batch_size, min_per_shard);
+        let cfg = train_cfg(batch_size);
         let (mut by_fit, mut by_hand) = (toy(7), toy(7));
-        let fit_losses = fit_toy(&mut by_fit, n, &args);
-        let hand_losses = hand_rolled_loop(&mut by_hand, n, &args);
+        let fit_losses = fit_toy(&mut by_fit, n, &cfg, min_per_shard);
+        let hand_losses = hand_rolled_loop(&mut by_hand, n, &cfg, min_per_shard);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&fit_losses), bits(&hand_losses), "n = {n}: loss trace");
         assert_eq!(param_bits(&by_fit.store), param_bits(&by_hand.store), "n = {n}: weights");
@@ -293,7 +291,9 @@ fn fit_panics_on_a_non_finite_loss_naming_the_op() {
         fit(
             &mut model,
             16,
-            &fit_args(4, 1),
+            &train_cfg(4),
+            Warmup::TenthOfSteps,
+            1,
             &mut rng,
             |m, g, shard, _| {
                 let res = shard_mse(&m.fc, g, shard);
@@ -318,7 +318,9 @@ fn on_step_sees_post_step_weights_and_the_epoch_losses() {
     let losses = fit(
         &mut model,
         23,
-        &fit_args(4, 1),
+        &train_cfg(4),
+        Warmup::TenthOfSteps,
+        1,
         &mut rng,
         |m, g, shard, _| toy_loss(&m.fc, g, shard),
         |m, stats, epoch, step| seen.push((epoch, step, stats.loss, param_bits(&m.store))),

@@ -9,8 +9,8 @@
 //! Run: `cargo run --release --example cross_city_transfer`
 
 use start_core::{
-    fine_tune_classifier, predict_classes, pretrain, FineTuneConfig, PretrainConfig, StartConfig,
-    StartModel,
+    fine_tune_classifier, predict_classes, pretrain, PretrainConfig, StartConfig, StartModel,
+    TrainConfig,
 };
 use start_eval::metrics::accuracy;
 use start_nn::serialize::{load_params, save_params};
@@ -81,7 +81,7 @@ fn main() {
     let labels: Vec<usize> = target.train().iter().map(|t| t.occupied as usize).collect();
     let test: Vec<Trajectory> = target.test().to_vec();
     let test_labels: Vec<usize> = test.iter().map(|t| t.occupied as usize).collect();
-    let ft = FineTuneConfig {
+    let ft = TrainConfig {
         epochs: 2,
         batch_size: 8,
         max_steps_per_epoch: Some(15),

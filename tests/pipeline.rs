@@ -9,8 +9,8 @@ use std::sync::Arc;
 
 use start_bench::{bj_mini, ModelKind, Runner, Scale};
 use start_core::{
-    fine_tune_eta, predict_eta, pretrain, EncodeOptions, FineTuneConfig, PretrainConfig,
-    StartConfig, StartModel,
+    fine_tune_eta, predict_eta, pretrain, EncodeOptions, PretrainConfig, StartConfig, StartModel,
+    TrainConfig,
 };
 use start_eval::metrics::{accuracy, hit_ratio, mean_rank, regression_report, truth_ranks};
 use start_roadnet::synth::{generate_city, CityConfig};
@@ -115,7 +115,7 @@ fn eta_fine_tuning_beats_mean_predictor() {
     let head = fine_tune_eta(
         &mut model,
         ds.train(),
-        &FineTuneConfig {
+        &TrainConfig {
             epochs: 3,
             batch_size: 8,
             max_steps_per_epoch: Some(25),
