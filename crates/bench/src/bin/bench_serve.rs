@@ -1,5 +1,5 @@
-//! Serving benchmark: the micro-batched `EmbeddingService` and the sharded
-//! `Router` against legacy one-call-per-request encoding, at
+//! Serving benchmark: the micro-batched `Router` — at one replica and
+//! sharded over several — against legacy one-call-per-request encoding, at
 //! bitwise-identical output.
 //!
 //! Five measurements:
@@ -8,8 +8,8 @@
 //!    per trajectory (what every caller of the old deprecated entry points
 //!    did per request). Each call pays the road-representation forward
 //!    pass for a single trajectory.
-//! 2. **service** — the same requests through `EmbeddingService` with the
-//!    cache *off*: micro-batching amortizes the road representations over
+//! 2. **service** — the same requests through a 1-replica `Router` with
+//!    the cache *off*: micro-batching amortizes the road representations over
 //!    the batch and answers with bit-for-bit the per_call embeddings
 //!    (asserted). The headline figure is this speedup, which the
 //!    acceptance floor requires to be ≥ 2×.
@@ -27,7 +27,7 @@
 //!    orchestrator (cold caches, own allocator arena), points run
 //!    sequentially so timed children never contend for the core.
 //! 5. **hot swap audit** — a request stream submitted to a 2-replica
-//!    router with `Router::publish` fired mid-stream: every reply is
+//!    router with one `Router::publish` fired mid-stream: every reply is
 //!    audited via `wait_versioned` against offline references for *both*
 //!    checkpoints — zero dropped, zero mismatched, every reply bitwise the
 //!    output of exactly the version that tagged it.
@@ -46,7 +46,7 @@ use std::time::Duration;
 use start_bench::sweep::{emit_result, run_sweep, SweepJob};
 use start_bench::{bj_mini, start_config, timed, Scale};
 use start_core::{EncodeOptions, StartModel};
-use start_serve::{Router, RouterConfig, ServeConfig, ServiceStats};
+use start_serve::{Router, RouterConfig, RouterStats, ServeConfig, ServiceStats};
 use start_traj::Trajectory;
 
 struct Figures {
@@ -85,6 +85,17 @@ fn serve_config(workers: usize, cache_capacity: usize) -> ServeConfig {
         .expect("bench serve config is valid")
 }
 
+/// A 1-replica router: one queue, one worker pool, one cache.
+fn one_replica(model: &Arc<StartModel>, serve: ServeConfig) -> Router {
+    let cfg = RouterConfig::builder().replicas(1).serve(serve).build().expect("1-replica router");
+    Router::start(Arc::clone(model), cfg)
+}
+
+/// The counters of a 1-replica router's only replica.
+fn only(stats: RouterStats) -> ServiceStats {
+    stats.replicas.into_iter().next().expect("one replica")
+}
+
 fn run(model: &Arc<StartModel>, requests: &[Trajectory]) -> Figures {
     // 1. Legacy shape: one encode call per request, single thread.
     let opts = EncodeOptions::default();
@@ -99,9 +110,9 @@ fn run(model: &Arc<StartModel>, requests: &[Trajectory]) -> Figures {
     });
 
     // 2. The service, cache off, one worker: same bits, batched schedule.
-    let service = start_serve::EmbeddingService::start(Arc::clone(model), serve_config(1, 0));
+    let service = one_replica(model, serve_config(1, 0));
     let (served, service_secs) = timed(|| service.encode(requests).expect("service encode"));
-    let stats = service.shutdown();
+    let stats = only(service.shutdown());
     assert_eq!(served.len(), per_call_out.len());
     for (i, (s, p)) in served.iter().zip(&per_call_out).enumerate() {
         assert_eq!(s.len(), p.len());
@@ -118,10 +129,10 @@ fn run(model: &Arc<StartModel>, requests: &[Trajectory]) -> Figures {
     let distinct = (requests.len() / 4).max(1);
     let cached_stream: Vec<Trajectory> =
         (0..requests.len()).map(|i| requests[(i * 7919) % distinct].clone()).collect();
-    let service = start_serve::EmbeddingService::start(Arc::clone(model), serve_config(1, 4096));
+    let service = one_replica(model, serve_config(1, 4096));
     let (cached_out, cached_secs) =
         timed(|| service.encode(&cached_stream).expect("cached service encode"));
-    let cached_stats = service.shutdown();
+    let cached_stats = only(service.shutdown());
     for (out, t_idx) in cached_out.iter().zip((0..requests.len()).map(|i| (i * 7919) % distinct)) {
         let reference = &per_call_out[t_idx];
         assert!(
@@ -337,8 +348,7 @@ fn run_swap_audit(
     // Let a few old-version micro-batches flush, then swap while the rest
     // are still queued or in flight.
     std::thread::sleep(Duration::from_millis(5));
-    let reports = router.publish(next).expect("mid-stream publish");
-    let drained_batches = reports.iter().map(|r| r.drained_batches).sum();
+    let drained_batches = router.publish(next).expect("mid-stream publish").drained_batches;
 
     let mut audit = SwapAudit {
         requests: requests.len(),

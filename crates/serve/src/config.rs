@@ -1,10 +1,10 @@
-//! Serving-tier configuration: [`ServeConfig`] (one [`EmbeddingService`]
-//! replica) and [`RouterConfig`] (the sharded [`Router`] front-end), each
-//! with the same `builder()` + typed-validation-error treatment
-//! `StartConfig` has — the only construction path the workspace lint
-//! accepts outside this file (rule 5 `no-config-literal`).
+//! Serving-tier configuration: [`ServeConfig`] (each replica of a
+//! [`Router`]) and [`RouterConfig`] (the replica count plus that
+//! per-replica tuning), each with the same `builder()` +
+//! typed-validation-error treatment `StartConfig` has — the only
+//! construction path the workspace lint accepts outside this file (rule 5
+//! `no-config-literal`).
 //!
-//! [`EmbeddingService`]: crate::service::EmbeddingService
 //! [`Router`]: crate::router::Router
 
 use std::time::Duration;
@@ -26,7 +26,7 @@ pub enum IndexKind {
     Hnsw(HnswConfig),
 }
 
-/// Tunables for [`crate::service::EmbeddingService::start`].
+/// Tunables for each replica of a [`crate::router::Router`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Encode worker threads (minimum 1).
@@ -88,9 +88,9 @@ impl ServeConfig {
         ServeConfigBuilder { cfg: self.clone() }
     }
 
-    /// Check the invariants `EmbeddingService::start` would otherwise
-    /// normalize silently: at least one worker, a non-empty micro-batch
-    /// budget, a usable queue, and a valid HNSW tuning when one is chosen.
+    /// Check the invariants `Router::start` would otherwise normalize
+    /// silently: at least one worker, a non-empty micro-batch budget, a
+    /// usable queue, and a valid HNSW tuning when one is chosen.
     pub fn validate(&self) -> Result<(), ServeConfigError> {
         if self.workers == 0 {
             return Err(ServeConfigError::ZeroWorkers);
@@ -205,12 +205,11 @@ impl ServeConfigBuilder {
     }
 }
 
-/// Tunables for [`crate::router::Router::start`]: how many
-/// [`crate::service::EmbeddingService`] replicas to shard requests over,
-/// and the per-replica service tuning. Note `cache_capacity` is **per
-/// replica** — fingerprint sharding means replicas cache disjoint slices
-/// of the working set, so aggregate capacity grows linearly with the
-/// replica count.
+/// Tunables for [`crate::router::Router::start`]: how many replicas to
+/// shard requests over, and the per-replica tuning. Note `cache_capacity`
+/// is **per replica** — fingerprint sharding means replicas cache disjoint
+/// slices of the working set, so aggregate capacity grows linearly with
+/// the replica count.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// Replica count (minimum 1); the shard of a request is its trajectory

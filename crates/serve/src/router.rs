@@ -1,6 +1,7 @@
-//! [`Router`]: the sharded serving front-end — N [`EmbeddingService`]
-//! replicas behind one facade with the same `submit`/`knn`/`index`/`stats`
-//! surface, so callers migrate from a single service by constructor swap.
+//! [`Router`]: the serving front-end — N private replicas (a queue, its
+//! encode workers, one kNN index shard and its counters each) behind one
+//! `submit`/`knn`/`index`/`publish`/`stats` surface, all reading one
+//! versioned model slot.
 //!
 //! ## Fingerprint partitioning
 //!
@@ -21,30 +22,32 @@
 //!
 //! kNN placement uses `id % replicas` for inserts; queries scatter to
 //! every replica and merge through [`TopK`], which reproduces the
-//! single-service `(distance, id)` tie-break bit for bit.
+//! one-replica `(distance, id)` tie-break bit for bit.
 //!
 //! ## Hot swap
 //!
-//! [`Router::publish`] pushes a new checkpoint into every replica in
-//! shard order; each replica double-buffers the model behind its
-//! versioned slot, drains in-flight micro-batches on the old version, and
-//! starts a fresh cache pinned to the new version epoch (see the
-//! `service` module docs). Because every replica performs the same
-//! `version + 1` bump, replica versions stay in lockstep and
-//! [`Router::model_version`] is well defined.
+//! The router holds one model slot — `(version, model, one cache per
+//! replica, in-flight counter)` behind one `RwLock` — that every replica
+//! reads, so there is one model version router-wide.
+//! [`Router::publish`] swaps it once and drains the old version's
+//! in-flight micro-batches once (see the `service` module docs): every
+//! reply is tagged with the version that produced it, and every kNN entry
+//! with the version that produced its vector.
 //!
 //! [`EmbeddingCache`]: start_core::EmbeddingCache
 
+use std::thread::JoinHandle;
+
 use start_core::encoder::fingerprint_view;
 use start_core::{Embedding, StartModel};
-use start_sync::Arc;
+use start_sync::{Arc, PoisonError, RwLock};
 use start_traj::{TrajView, Trajectory};
 
 use start_ann::TopK;
 
 use crate::config::RouterConfig;
 use crate::error::ServeError;
-use crate::service::{EmbeddingHandle, EmbeddingService, PublishReport};
+use crate::service::{read_slot, EmbeddingHandle, EmbeddingService, ModelSlot};
 use crate::stats::ServiceStats;
 use crate::store::Neighbor;
 
@@ -75,12 +78,30 @@ pub fn fold_fingerprint(fp: start_core::Fingerprint) -> u64 {
 
 /// A sharded, hot-reloadable serving tier. See the module docs.
 pub struct Router {
-    replicas: Vec<EmbeddingService>,
+    slot: Arc<RwLock<ModelSlot>>,
+    replicas: Vec<Arc<EmbeddingService>>,
+    /// Every replica's encode workers, joined on shutdown or drop.
+    workers: Vec<JoinHandle<()>>,
+}
+
+/// Receipt of one [`Router::publish`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PublishReport {
+    /// The version that was serving before the swap.
+    pub previous_version: u64,
+    /// The version now serving (always `previous_version + 1`).
+    pub version: u64,
+    /// Old-version micro-batches that were still in flight at the swap and
+    /// were drained before `publish` returned.
+    pub drained_batches: u64,
 }
 
 /// Per-replica snapshots plus the aggregates callers actually chart.
 #[derive(Debug, Clone)]
 pub struct RouterStats {
+    /// The model version serving every replica (0 until the first
+    /// publish).
+    pub model_version: u64,
     /// One [`ServiceStats`] per replica, in shard order.
     pub replicas: Vec<ServiceStats>,
 }
@@ -120,16 +141,23 @@ impl RouterStats {
 }
 
 impl Router {
-    /// Spawn `cfg.replicas` services over a shared model (each replica
-    /// clones the `Arc`, not the weights) and return the running router.
-    /// Defensive like `EmbeddingService::start`: a zero replica count is
-    /// normalized to 1 — build configs through [`RouterConfig::builder`]
-    /// for typed validation instead.
+    /// Spawn `cfg.replicas` replicas over one model slot holding `model`
+    /// as version 0, and return the running router. Defensive: a zero
+    /// replica or worker count is normalized to 1 — build configs through
+    /// [`RouterConfig::builder`] for typed validation instead.
     pub fn start(model: Arc<StartModel>, cfg: RouterConfig) -> Self {
-        let replicas = (0..cfg.replicas.max(1))
-            .map(|_| EmbeddingService::start(Arc::clone(&model), cfg.serve.clone()))
+        let n = cfg.replicas.max(1);
+        let slot = Arc::new(RwLock::new(ModelSlot::new(0, model, &cfg.serve, n)));
+        let mut workers = Vec::new();
+        let replicas = (0..n)
+            .map(|i| {
+                let (replica, spawned) =
+                    EmbeddingService::start(Arc::clone(&slot), i, cfg.serve.clone());
+                workers.extend(spawned);
+                replica
+            })
             .collect();
-        Self { replicas }
+        Self { slot, replicas, workers }
     }
 
     /// Number of replicas behind this router.
@@ -159,15 +187,14 @@ impl Router {
     /// Submit a trajectory to its shard; fail with
     /// [`ServeError::QueueFull`] instead of blocking.
     pub fn try_submit(&self, trajectory: &Trajectory) -> Result<EmbeddingHandle, ServeError> {
-        let shard = self.shard_for(trajectory);
-        self.replicas[shard].try_submit(trajectory)
+        let view = TrajView::identity(trajectory);
+        self.replicas[self.shard_for_view(&view)].enqueue(view, false)
     }
 
-    /// Submit a pre-built view to its shard, blocking while the queue is
-    /// full.
+    /// Submit a pre-built view (masking, departure-only timestamps, …) to
+    /// its shard, blocking while the queue is full.
     pub fn submit_view(&self, view: TrajView) -> Result<EmbeddingHandle, ServeError> {
-        let shard = self.shard_for_view(&view);
-        self.replicas[shard].submit_view(view)
+        self.replicas[self.shard_for_view(&view)].enqueue(view, true)
     }
 
     /// Submit a batch (each trajectory to its own shard) and wait for
@@ -178,85 +205,152 @@ impl Router {
         handles.into_iter().map(EmbeddingHandle::wait).collect()
     }
 
-    /// Publish a new model checkpoint into every replica (shard order).
-    /// Each replica drains its in-flight old-version micro-batches before
-    /// this returns; see `EmbeddingService::publish` for the per-replica
-    /// contract. Returns the per-replica reports, whose `version` fields
-    /// all agree.
+    /// Swap in a new model checkpoint for every replica at once, with zero
+    /// dropped or stale replies.
     ///
-    /// A wrong-dimension checkpoint is refused atomically: every replica
-    /// shares the index dimension, the per-replica check precedes the
-    /// swap, and the iteration short-circuits — so replica 0's refusal
-    /// means no replica swapped.
-    pub fn publish(&self, model: Arc<StartModel>) -> Result<Vec<PublishReport>, ServeError> {
-        self.replicas.iter().map(|r| r.publish(Arc::clone(&model))).collect()
+    /// Double-buffered: the new model is installed under `version + 1`
+    /// with fresh caches pinned to the new epoch; requests picked up after
+    /// the swap (including ones already queued) encode with the new
+    /// weights, while micro-batches already pinned to the old slot finish
+    /// on the old weights and are **drained** — `publish` returns only
+    /// after every old-version reply has been sent. The kNN index is
+    /// untouched; entries of prior versions are reported as
+    /// [`ServiceStats::stale_index_entries`].
+    ///
+    /// A model whose dimension differs from the serving one (and so from
+    /// the index) is refused with [`ServeError::DimensionMismatch`] before
+    /// anything swaps.
+    pub fn publish(&self, model: Arc<StartModel>) -> Result<PublishReport, ServeError> {
+        let old = {
+            let mut slot = self.slot.write().unwrap_or_else(PoisonError::into_inner);
+            let expected = slot.model.cfg.dim;
+            if model.cfg.dim != expected {
+                // Counted like any refused request, on the first replica.
+                self.replicas[0].reject();
+                return Err(ServeError::DimensionMismatch { expected, got: model.cfg.dim });
+            }
+            let n = self.replicas.len();
+            let fresh = ModelSlot::new(slot.version + 1, model, &self.replicas[0].cfg, n);
+            std::mem::replace(&mut *slot, fresh)
+        };
+        // The write lock is released before draining: workers pin the new
+        // slot immediately while the old version's in-flight batches run
+        // to completion.
+        let drained_batches = old.in_flight.drain();
+        Ok(PublishReport {
+            previous_version: old.version,
+            version: old.version + 1,
+            drained_batches,
+        })
     }
 
-    /// The model version currently serving (identical on every replica).
+    /// The model version currently serving (0 until the first publish).
     pub fn model_version(&self) -> u64 {
-        self.replicas.first().map_or(0, EmbeddingService::model_version)
+        read_slot(&self.slot).version
     }
 
     /// Encode `trajectory` and index the embedding under `id` for
-    /// [`Router::knn`] queries. The *encode* routes by trajectory
-    /// fingerprint; the *index entry* lives on replica `id % replicas`.
+    /// [`Router::knn`] queries, tagged with the version that produced it.
+    /// The *encode* routes by trajectory fingerprint; the *index entry*
+    /// lives on replica `id % replicas`. Re-indexing an id overwrites it.
     pub fn index(&self, id: u64, trajectory: &Trajectory) -> Result<(), ServeError> {
-        let emb = self.submit(trajectory)?.wait()?;
-        self.index_embedding(id, &emb)
+        let (emb, version) = self.submit(trajectory)?.wait_versioned()?;
+        self.insert(id, &emb, version)
     }
 
-    /// Index a pre-computed embedding under `id` on replica
-    /// `id % replicas`.
+    /// Index a pre-computed embedding under `id` — the bulk-load path when
+    /// embeddings come from an offline encode of the serving model. A
+    /// wrong-dimension vector is refused with
+    /// [`ServeError::DimensionMismatch`]; the index stays fully usable.
     pub fn index_embedding(&self, id: u64, embedding: &[f32]) -> Result<(), ServeError> {
-        self.replicas[(id % self.replicas.len() as u64) as usize].index_embedding(id, embedding)
+        self.insert(id, embedding, self.model_version())
+    }
+
+    fn insert(&self, id: u64, embedding: &[f32], version: u64) -> Result<(), ServeError> {
+        let replica = self.index_home(id);
+        let mut store = replica.store_write();
+        match store.index.insert(id, embedding) {
+            Ok(()) => {
+                store.versions.insert(id, version);
+                Ok(())
+            }
+            Err(e) => {
+                replica.reject();
+                Err(e.into())
+            }
+        }
+    }
+
+    /// The replica that holds `id`'s index entry.
+    fn index_home(&self, id: u64) -> &EmbeddingService {
+        &self.replicas[(id % self.replicas.len() as u64) as usize]
     }
 
     /// Encode the query on its shard, then return its `k` nearest indexed
     /// neighbours across **all** replicas, closest first — bitwise the
-    /// single-service answer, including the `(distance, id)` tie-break.
+    /// one-replica answer, including the `(distance, id)` tie-break.
     pub fn knn(&self, query: &Trajectory, k: usize) -> Result<Vec<Neighbor>, ServeError> {
         let emb = self.submit(query)?.wait()?;
         self.knn_embedding(&emb, k)
     }
 
     /// kNN over a pre-computed query embedding: scatter to every replica,
-    /// merge with the shared [`TopK`] ordering.
+    /// merge with the shared [`TopK`] ordering. A wrong-dimension query is
+    /// refused with [`ServeError::DimensionMismatch`], never a panic.
     pub fn knn_embedding(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>, ServeError> {
         let mut top = TopK::new(k);
         for replica in &self.replicas {
-            for n in replica.knn_embedding(query, k)? {
+            let hits = replica.store_read().index.knn(query, k);
+            for n in hits.inspect_err(|_| replica.reject())? {
                 top.push(n.id, n.distance);
             }
         }
         Ok(top.into_sorted())
     }
 
-    /// Drop `id` from its replica's kNN index; returns whether it was
-    /// indexed.
+    /// Drop `id` from the kNN index; returns whether it was indexed.
+    /// (HNSW backends tombstone: the id is never returned again, the graph
+    /// node keeps routing.)
     pub fn remove_index(&self, id: u64) -> bool {
-        self.replicas[(id % self.replicas.len() as u64) as usize].remove_index(id)
+        let mut store = self.index_home(id).store_write();
+        let removed = store.index.remove(id);
+        if removed {
+            store.versions.remove(&id);
+        }
+        removed
     }
 
     /// Total embeddings indexed for kNN across all replicas.
     pub fn indexed_len(&self) -> usize {
-        self.replicas.iter().map(EmbeddingService::indexed_len).sum()
+        self.replicas.iter().map(|r| r.store_read().index.len()).sum()
     }
 
-    /// Ids indexed under a non-current model version, across all replicas,
-    /// sorted.
+    /// Ids whose indexed embedding was produced by a model version other
+    /// than the one currently serving — the re-indexing worklist after a
+    /// [`Router::publish`]. Sorted for determinism.
     pub fn stale_indexed_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.replicas.iter().flat_map(|r| r.stale_indexed_ids()).collect();
+        let current = self.model_version();
+        let mut ids = Vec::new();
+        for replica in &self.replicas {
+            let store = replica.store_read();
+            ids.extend(store.versions.iter().filter(|&(_, &v)| v != current).map(|(&id, _)| id));
+        }
         ids.sort_unstable();
         ids
     }
 
     /// Per-replica + aggregate counter snapshot.
     pub fn stats(&self) -> RouterStats {
-        RouterStats { replicas: self.replicas.iter().map(EmbeddingService::stats).collect() }
+        RouterStats {
+            model_version: self.model_version(),
+            replicas: self.replicas.iter().map(|r| r.stats()).collect(),
+        }
     }
 
-    /// Flip every replica into shutdown without joining the workers; see
-    /// `EmbeddingService::begin_shutdown`.
+    /// Flip every replica into shutdown without joining the workers: new
+    /// submissions (including callers blocked on a full queue) fail with
+    /// [`ServeError::ShuttingDown`], while already-queued requests still
+    /// drain. [`Router::shutdown`] or drop completes the join.
     pub fn begin_shutdown(&self) {
         for replica in &self.replicas {
             replica.begin_shutdown();
@@ -265,10 +359,24 @@ impl Router {
 
     /// Stop accepting work, drain every replica, join all workers, and
     /// return the final per-replica stats.
-    pub fn shutdown(self) -> RouterStats {
-        RouterStats {
-            replicas: self.replicas.into_iter().map(EmbeddingService::shutdown).collect(),
+    pub fn shutdown(mut self) -> RouterStats {
+        self.stop();
+        self.stats()
+    }
+
+    fn stop(&mut self) {
+        self.begin_shutdown();
+        for handle in self.workers.drain(..) {
+            // A worker that panicked outside the guarded encode region has
+            // already answered its batch; nothing to propagate.
+            let _ = handle.join();
         }
+    }
+}
+
+impl Drop for Router {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 

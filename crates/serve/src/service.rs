@@ -1,31 +1,29 @@
-//! The embedding inference service: a long-lived pool of encode workers
-//! behind a bounded micro-batching queue, serving one **versioned** model
-//! slot that can be hot-swapped while requests are in flight.
+//! The router's private replica: a bounded micro-batching queue, its pool
+//! of encode workers, one kNN index shard and its counters.
 //!
-//! Requests enter through [`EmbeddingService::submit`] (blocking
-//! backpressure) or [`EmbeddingService::try_submit`] (fail-fast
-//! `QueueFull`). A worker that finds work open starts a micro-batch: it
-//! keeps absorbing requests until the batch reaches `max_batch` or the
-//! `max_wait` budget expires, then encodes the whole batch on its privately
-//! owned tape [`BufferPool`] through the unified
-//! [`Encoder`](start_core::encoder::Encoder) facade — which deduplicates
-//! identical views, consults the slot's [`EmbeddingCache`], and produces the
-//! same bits as a single-threaded `encode` call. Each request is answered
-//! over its own channel, so batch composition never changes what a caller
-//! observes, only when.
+//! Requests enter through the router's `submit` (blocking backpressure)
+//! or `try_submit` (fail-fast `QueueFull`). A worker that finds work open
+//! starts a micro-batch: it keeps absorbing requests until the batch
+//! reaches `max_batch` or the `max_wait` budget expires, then encodes the
+//! whole batch on its privately owned tape [`BufferPool`] through the
+//! unified [`Encoder`](start_core::encoder::Encoder) facade — which
+//! deduplicates identical views, consults this replica's
+//! [`EmbeddingCache`], and produces the same bits as a single-threaded
+//! `encode` call. Each request is answered over its own channel, so batch
+//! composition never changes what a caller observes, only when.
 //!
-//! ## Checkpoint hot-swap
+//! ## The shared model slot
 //!
-//! The model lives in a [`ModelSlot`]: `(version, Arc<StartModel>, cache,
-//! in-flight counter)` behind an `RwLock`. Every micro-batch pins the slot
-//! once — it clones the `Arc`s, registers with the slot's in-flight
-//! counter *while still holding the read lock*, then encodes without any
-//! lock held. [`EmbeddingService::publish`] double-buffers: it write-locks
-//! the slot, installs the new model under `version + 1` with a **fresh**
-//! cache pinned to the new epoch, releases the lock, and then drains —
-//! waits until the old slot's in-flight count reaches zero, at which point
-//! every reply produced from the old weights has already been sent. Two
-//! consequences callers can rely on:
+//! Every replica of one router reads the same `ModelSlot`: `(version,
+//! Arc<StartModel>, one cache per replica, in-flight counter)` behind one
+//! `RwLock`. Every micro-batch pins the slot once — it clones the `Arc`s,
+//! registers with the slot's in-flight counter *while still holding the
+//! read lock*, then encodes without any lock held. `Router::publish`
+//! write-locks the slot once, installs the new model under `version + 1`
+//! with **fresh** caches pinned to the new epoch, releases the lock, and
+//! then drains — waits until the old slot's in-flight count reaches zero,
+//! at which point every reply produced from the old weights has already
+//! been sent. Two consequences callers can rely on:
 //!
 //! - every reply is tagged with the version of the model that produced it
 //!   ([`EmbeddingHandle::wait_versioned`]), and is exactly the bits of a
@@ -35,14 +33,13 @@
 //!   insert into the retiring instance. Stale bits are unreachable from
 //!   the new version.
 //!
-//! kNN entries are tagged with the model version current at indexing time;
+//! kNN entries carry the model version that produced their vector;
 //! [`ServiceStats::stale_index_entries`] counts entries whose version no
-//! longer matches, and [`EmbeddingService::stale_indexed_ids`] names them
-//! for re-indexing.
+//! longer matches the slot's.
 //!
 //! Workers never leak panics: a panic inside the model is caught at the
 //! batch boundary, the in-flight batch is answered with
-//! [`ServeError::WorkerPanicked`], the service is poisoned, and queued +
+//! [`ServeError::WorkerPanicked`], the replica is poisoned, and queued +
 //! future requests get [`ServeError::ModelPoisoned`]. `resume_unwind` stays
 //! internal to the encoder's own thread scope.
 
@@ -51,7 +48,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
 
 use start_sync::atomic::{AtomicU64, Ordering};
-use start_sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use start_sync::{
+    mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
 use std::time::{Duration, Instant};
 
@@ -59,12 +58,12 @@ use start_ann::{Hnsw, VectorIndex};
 use start_core::encoder::{EmbeddingCache, EncodeError, EncodeOptions};
 use start_core::{CacheStats, Embedding, StartModel};
 use start_nn::BufferPool;
-use start_traj::{TrajView, Trajectory};
+use start_traj::TrajView;
 
 use crate::config::{IndexKind, ServeConfig};
 use crate::error::ServeError;
 use crate::stats::{Histogram, ServiceStats};
-use crate::store::{EmbeddingStore, Neighbor};
+use crate::store::EmbeddingStore;
 
 /// One queued unit of work: the view to encode and the channel that will
 /// carry exactly one version-tagged answer back to the submitting caller.
@@ -81,8 +80,8 @@ struct QueueState {
 }
 
 /// In-flight micro-batch counter of one model version — the drain barrier
-/// of [`EmbeddingService::publish`].
-struct InFlight {
+/// of `Router::publish`.
+pub(crate) struct InFlight {
     active: Mutex<u64>,
     zero: Condvar,
 }
@@ -111,7 +110,7 @@ impl InFlight {
     /// Block until every registered micro-batch has finished (replies
     /// sent). Returns the count observed at entry — how many old-version
     /// batches the publish had to wait out.
-    fn drain(&self) -> u64 {
+    pub(crate) fn drain(&self) -> u64 {
         let mut n = self.lock();
         let at_swap = *n;
         while *n > 0 {
@@ -122,8 +121,8 @@ impl InFlight {
 }
 
 /// RAII registration with an [`InFlight`] counter; decrements on drop, so
-/// a panicking encode still releases its slot and cannot deadlock
-/// [`EmbeddingService::publish`].
+/// a panicking encode still releases its slot and cannot deadlock a
+/// publish drain.
 struct InFlightGuard {
     inner: Arc<InFlight>,
 }
@@ -138,103 +137,57 @@ impl Drop for InFlightGuard {
     }
 }
 
-/// One published model version: the weights, the cache pinned to this
-/// version's epoch, and the in-flight counter that gates its retirement.
-struct ModelSlot {
-    version: u64,
-    model: Arc<StartModel>,
-    cache: Option<Arc<EmbeddingCache>>,
-    in_flight: Arc<InFlight>,
+/// One published model version, shared by every replica of a router: the
+/// weights, one cache per replica pinned to this version's epoch, and the
+/// in-flight counter that gates the version's retirement.
+pub(crate) struct ModelSlot {
+    pub(crate) version: u64,
+    pub(crate) model: Arc<StartModel>,
+    caches: Vec<Option<Arc<EmbeddingCache>>>,
+    pub(crate) in_flight: Arc<InFlight>,
 }
 
-/// What the kNN endpoints guard together: the index itself plus the model
-/// version each id was indexed under (the hot-swap staleness tags).
-struct IndexState {
-    index: Box<dyn VectorIndex>,
-    versions: HashMap<u64, u64>,
-}
-
-/// Everything the workers and the front-end share.
-struct Shared {
-    state: Mutex<QueueState>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    cfg: ServeConfig,
-    slot: RwLock<ModelSlot>,
-    store: RwLock<IndexState>,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    failed: AtomicU64,
-    batches: AtomicU64,
-    queue_wait: Histogram,
-    encode: Histogram,
-}
-
-impl Shared {
-    /// Queue lock with mutex-poison ride-through: the queue state is a
-    /// plain VecDeque plus flags, valid at every instruction boundary, so a
-    /// panicking peer cannot leave it torn.
-    fn lock(&self) -> MutexGuard<'_, QueueState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Slot read lock, riding through poisoning for the same reason: the
-    /// slot is replaced wholesale under the write lock, never mutated in
-    /// place, so readers always see one coherent version.
-    fn slot(&self) -> start_sync::RwLockReadGuard<'_, ModelSlot> {
-        self.slot.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn store_read(&self) -> start_sync::RwLockReadGuard<'_, IndexState> {
-        self.store.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn store_write(&self) -> start_sync::RwLockWriteGuard<'_, IndexState> {
-        self.store.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn stats(&self) -> ServiceStats {
-        let queue_depth = self.lock().queue.len();
-        // Snapshot ordering: read the outcome counters (completed/failed)
-        // BEFORE submitted. `submitted` is incremented (Release) before a
-        // request is visible to workers, and completed/failed only after the
-        // answer is sent, so reading outcomes first means any request that
-        // slips in between the loads can only raise `submitted` — every
-        // snapshot satisfies `submitted >= completed + failed`, and a drained
-        // shutdown reports exact equality.
-        let completed = self.completed.load(Ordering::Acquire);
-        let failed = self.failed.load(Ordering::Acquire);
-        let submitted = self.submitted.load(Ordering::Acquire);
-        let (model_version, cache) = {
-            let slot = self.slot();
-            let cache = slot.cache.as_ref().map(|c| c.stats()).unwrap_or(CacheStats {
-                hits: 0,
-                misses: 0,
-                entries: 0,
-                capacity: 0,
-                epoch: slot.version,
-            });
-            (slot.version, cache)
+impl ModelSlot {
+    /// `model` under `version`, with a fresh cache of `cfg.cache_capacity`
+    /// entries for each of `replicas` replicas (see the module docs on
+    /// structural invalidation).
+    pub(crate) fn new(
+        version: u64,
+        model: Arc<StartModel>,
+        cfg: &ServeConfig,
+        replicas: usize,
+    ) -> Self {
+        let cache = || {
+            (cfg.cache_capacity > 0).then(|| {
+                Arc::new(EmbeddingCache::with_shards_at_epoch(
+                    cfg.cache_capacity,
+                    cfg.cache_shards,
+                    version,
+                ))
+            })
         };
-        let stale_index_entries = {
-            let store = self.store_read();
-            store.versions.values().filter(|&&v| v != model_version).count()
-        };
-        ServiceStats {
-            submitted,
-            completed,
-            rejected: self.rejected.load(Ordering::Relaxed), // relaxed-ok: standalone reject tally, no cross-counter invariant
-            failed,
-            batches: self.batches.load(Ordering::Relaxed), // relaxed-ok: monotone batch tally, no cross-counter invariant
-            queue_depth,
-            queue_wait: self.queue_wait.snapshot(),
-            encode: self.encode.snapshot(),
-            cache,
-            model_version,
-            stale_index_entries,
+        Self {
+            version,
+            model,
+            caches: (0..replicas).map(|_| cache()).collect(),
+            in_flight: Arc::new(InFlight::new()),
         }
     }
+}
+
+/// Slot read lock, riding through poisoning: the slot is replaced
+/// wholesale under the write lock, never mutated in place, so readers
+/// always see one coherent version.
+pub(crate) fn read_slot(slot: &RwLock<ModelSlot>) -> RwLockReadGuard<'_, ModelSlot> {
+    slot.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What the kNN paths guard together: the index shard itself plus the
+/// model version each id's vector was produced by (the hot-swap
+/// staleness tags).
+pub(crate) struct IndexState {
+    pub(crate) index: Box<dyn VectorIndex>,
+    pub(crate) versions: HashMap<u64, u64>,
 }
 
 /// The ticket for one submitted request.
@@ -259,48 +212,48 @@ impl EmbeddingHandle {
 
     /// Block until the service answers, returning the embedding together
     /// with the version of the model that produced it — the hot-swap
-    /// audit hook: across a [`EmbeddingService::publish`], every reply is
-    /// tagged with exactly the pre- or post-swap version.
+    /// audit hook: across a [`Router::publish`](crate::Router::publish),
+    /// every reply is tagged with exactly the pre- or post-swap version.
     pub fn wait_versioned(self) -> Result<(Embedding, u64), ServeError> {
         self.rx.recv().unwrap_or(Err(ServeError::ResponseDropped))
     }
 }
 
-/// Receipt of one [`EmbeddingService::publish`] (or `Router::publish`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PublishReport {
-    /// The version that was serving before the swap.
-    pub previous_version: u64,
-    /// The version now serving (always `previous_version + 1`).
-    pub version: u64,
-    /// Old-version micro-batches that were still in flight at the swap and
-    /// were drained before `publish` returned.
-    pub drained_batches: u64,
-}
-
-/// A running embedding service. See the module docs for the data path.
-pub struct EmbeddingService {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
+/// One replica: a bounded queue, an index shard and the counters, shared
+/// by the router and the replica's encode workers.
+pub(crate) struct EmbeddingService {
+    state: Mutex<QueueState>,
+    not_empty: Condvar,
+    not_full: Condvar,
+    pub(crate) cfg: ServeConfig,
+    slot: Arc<RwLock<ModelSlot>>,
+    /// This replica's shard number — the index of its cache in every slot.
+    shard: usize,
+    store: RwLock<IndexState>,
+    submitted: AtomicU64,
+    completed: AtomicU64,
+    rejected: AtomicU64,
+    failed: AtomicU64,
+    batches: AtomicU64,
+    queue_wait: Histogram,
+    encode: Histogram,
 }
 
 impl EmbeddingService {
-    /// Spawn the worker pool and return the running service (model
-    /// version 0).
-    pub fn start(model: Arc<StartModel>, cfg: ServeConfig) -> Self {
-        let dim = model.cfg.dim;
+    /// Start replica `shard` of the router that owns `slot`: the replica
+    /// and its spawned encode workers.
+    pub(crate) fn start(
+        slot: Arc<RwLock<ModelSlot>>,
+        shard: usize,
+        cfg: ServeConfig,
+    ) -> (Arc<Self>, Vec<JoinHandle<()>>) {
+        let dim = read_slot(&slot).model.cfg.dim;
         let index: Box<dyn VectorIndex> = match &cfg.index {
             IndexKind::BruteForce => Box::new(EmbeddingStore::with_precision(dim, cfg.precision)),
             IndexKind::Hnsw(hnsw_cfg) => Box::new(Hnsw::new(dim, hnsw_cfg.clone())),
         };
         let workers = cfg.workers.max(1);
-        let slot = ModelSlot {
-            version: 0,
-            model,
-            cache: cache_for_version(&cfg, 0),
-            in_flight: Arc::new(InFlight::new()),
-        };
-        let shared = Arc::new(Shared {
+        let replica = Arc::new(Self {
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 shutdown: false,
@@ -309,7 +262,8 @@ impl EmbeddingService {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             cfg,
-            slot: RwLock::new(slot),
+            slot,
+            shard,
             store: RwLock::new(IndexState { index, versions: HashMap::new() }),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -321,262 +275,135 @@ impl EmbeddingService {
         });
         let handles = (0..workers)
             .map(|i| {
-                let s = Arc::clone(&shared);
+                let r = Arc::clone(&replica);
                 std::thread::Builder::new()
                     .name(format!("start-serve-{i}"))
-                    .spawn(move || worker_loop(&s, i))
+                    .spawn(move || worker_loop(&r, i))
                     .unwrap_or_else(|e| panic!("failed to spawn encode worker {i}: {e}"))
             })
             .collect();
-        Self { shared, workers: handles }
+        (replica, handles)
     }
 
-    /// Submit a trajectory, blocking while the queue is full.
-    pub fn submit(&self, trajectory: &Trajectory) -> Result<EmbeddingHandle, ServeError> {
-        self.submit_view(TrajView::identity(trajectory))
+    /// Queue lock with mutex-poison ride-through: the queue state is a
+    /// plain VecDeque plus flags, valid at every instruction boundary, so a
+    /// panicking peer cannot leave it torn.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Submit a trajectory; fail with [`ServeError::QueueFull`] instead of
-    /// blocking when the queue is at capacity.
-    pub fn try_submit(&self, trajectory: &Trajectory) -> Result<EmbeddingHandle, ServeError> {
-        self.enqueue(TrajView::identity(trajectory), false)
+    /// This replica's index shard, read-locked.
+    pub(crate) fn store_read(&self) -> RwLockReadGuard<'_, IndexState> {
+        self.store.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Submit a pre-built view (masking, departure-only timestamps, …),
-    /// blocking while the queue is full.
-    pub fn submit_view(&self, view: TrajView) -> Result<EmbeddingHandle, ServeError> {
-        self.enqueue(view, true)
+    /// This replica's index shard, write-locked.
+    pub(crate) fn store_write(&self) -> RwLockWriteGuard<'_, IndexState> {
+        self.store.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Submit a batch and wait for every answer, in submission order.
-    pub fn encode(&self, trajectories: &[Trajectory]) -> Result<Vec<Embedding>, ServeError> {
-        let handles: Vec<EmbeddingHandle> =
-            trajectories.iter().map(|t| self.submit(t)).collect::<Result<_, _>>()?;
-        handles.into_iter().map(EmbeddingHandle::wait).collect()
-    }
-
-    /// Swap in a new model checkpoint with zero dropped or stale replies.
-    ///
-    /// Double-buffered: the new model is installed under `version + 1`
-    /// with a fresh cache pinned to the new epoch; requests picked up
-    /// after the swap (including ones already queued) encode with the new
-    /// weights, while micro-batches already pinned to the old slot finish
-    /// on the old weights and are **drained** — `publish` returns only
-    /// after every old-version reply has been sent. The kNN index is
-    /// untouched; entries indexed under prior versions are version-tagged
-    /// and reported as [`ServiceStats::stale_index_entries`].
-    ///
-    /// A model whose dimension does not match the index is refused with
-    /// [`ServeError::DimensionMismatch`] — kNN distances across mixed
-    /// dimensions are meaningless.
-    pub fn publish(&self, model: Arc<StartModel>) -> Result<PublishReport, ServeError> {
-        let expected = self.store_dim();
-        if model.cfg.dim != expected {
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed); // relaxed-ok: standalone reject tally
-            return Err(ServeError::DimensionMismatch { expected, got: model.cfg.dim });
-        }
-        let old = {
-            let mut slot = self.shared.slot.write().unwrap_or_else(PoisonError::into_inner);
-            let version = slot.version + 1;
-            let fresh = ModelSlot {
-                version,
-                model,
-                cache: cache_for_version(&self.shared.cfg, version),
-                in_flight: Arc::new(InFlight::new()),
-            };
-            std::mem::replace(&mut *slot, fresh)
-        };
-        // The write lock is released before draining: workers pin the new
-        // slot immediately while the old version's in-flight batches run
-        // to completion.
-        let drained_batches = old.in_flight.drain();
-        Ok(PublishReport {
-            previous_version: old.version,
-            version: old.version + 1,
-            drained_batches,
-        })
-    }
-
-    /// The model version currently serving (0 until the first
-    /// [`EmbeddingService::publish`]).
-    pub fn model_version(&self) -> u64 {
-        self.shared.slot().version
-    }
-
-    /// Encode `trajectory` and index the embedding under `id` for
-    /// [`EmbeddingService::knn`] queries. Re-indexing an id overwrites it
-    /// (and refreshes its version tag).
-    pub fn index(&self, id: u64, trajectory: &Trajectory) -> Result<(), ServeError> {
-        let emb = self.submit(trajectory)?.wait()?;
-        self.index_embedding(id, &emb)
-    }
-
-    /// Index a pre-computed embedding under `id` — the bulk-load path when
-    /// embeddings come from an offline encode. A wrong-dimension vector is
-    /// refused with [`ServeError::DimensionMismatch`]; the service and its
-    /// index stay fully usable afterwards.
-    pub fn index_embedding(&self, id: u64, embedding: &[f32]) -> Result<(), ServeError> {
-        let version = self.model_version();
-        let mut store = self.shared.store_write();
-        let result = store.index.insert(id, embedding);
-        match result {
-            Ok(()) => {
-                store.versions.insert(id, version);
-            }
-            Err(_) => {
-                self.shared.rejected.fetch_add(1, Ordering::Relaxed); // relaxed-ok: standalone reject tally
-            }
-        }
-        Ok(result?)
-    }
-
-    /// Encode the query trajectory and return its `k` nearest indexed
-    /// neighbours by Euclidean distance, closest first.
-    pub fn knn(&self, query: &Trajectory, k: usize) -> Result<Vec<Neighbor>, ServeError> {
-        let emb = self.submit(query)?.wait()?;
-        self.knn_embedding(&emb, k)
-    }
-
-    /// kNN over a pre-computed query embedding. A wrong-dimension query is
-    /// refused with [`ServeError::DimensionMismatch`], never a panic.
-    pub fn knn_embedding(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>, ServeError> {
-        let result = self.shared.store_read().index.knn(query, k);
-        if result.is_err() {
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed); // relaxed-ok: standalone reject tally
-        }
-        Ok(result?)
-    }
-
-    /// Drop `id` from the kNN index; returns whether it was indexed.
-    /// (HNSW backends tombstone: the id is never returned again, the graph
-    /// node keeps routing until a rebuild.)
-    pub fn remove_index(&self, id: u64) -> bool {
-        let mut store = self.shared.store_write();
-        let removed = store.index.remove(id);
-        if removed {
-            store.versions.remove(&id);
-        }
-        removed
-    }
-
-    /// Number of embeddings currently indexed for kNN.
-    pub fn indexed_len(&self) -> usize {
-        self.shared.store_read().index.len()
-    }
-
-    /// Ids whose indexed embedding was produced by a model version other
-    /// than the one currently serving — the re-indexing worklist after a
-    /// [`EmbeddingService::publish`]. Sorted for determinism.
-    pub fn stale_indexed_ids(&self) -> Vec<u64> {
-        let current = self.model_version();
-        let store = self.shared.store_read();
-        let mut ids: Vec<u64> =
-            store.versions.iter().filter(|&(_, &v)| v != current).map(|(&id, _)| id).collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Approximate resident bytes of the kNN index — what a precision
-    /// sweep reports alongside recall.
-    pub fn index_memory_bytes(&self) -> usize {
-        self.shared.store_read().index.memory_bytes()
-    }
-
-    /// Rebuild the kNN index as `kind`, re-inserting every live embedding
-    /// in stable (insertion) order — how a service migrates from the exact
-    /// scan to HNSW (or between HNSW tunings) without re-encoding anything.
-    /// Version tags survive: rebuilding changes the backend, not the
-    /// staleness of the embeddings in it.
-    pub fn rebuild_index(&self, kind: IndexKind) {
-        let mut store = self.shared.store_write();
-        let dim = store.index.dim();
-        let mut fresh: Box<dyn VectorIndex> = match &kind {
-            IndexKind::BruteForce => {
-                Box::new(EmbeddingStore::with_precision(dim, self.shared.cfg.precision))
-            }
-            IndexKind::Hnsw(hnsw_cfg) => Box::new(Hnsw::new(dim, hnsw_cfg.clone())),
-        };
-        store.index.for_each(&mut |id, vector| {
-            // Dimensions match by construction: both indexes share `dim`.
-            let _ = fresh.insert(id, vector);
-        });
-        store.index = fresh;
+    /// Count one request refused at the door.
+    pub(crate) fn reject(&self) {
+        self.rejected.fetch_add(1, Ordering::Relaxed); // relaxed-ok: standalone reject tally
     }
 
     /// A point-in-time counter snapshot.
-    pub fn stats(&self) -> ServiceStats {
-        self.shared.stats()
+    pub(crate) fn stats(&self) -> ServiceStats {
+        let queue_depth = self.lock().queue.len();
+        // Snapshot ordering: read the outcome counters (completed/failed)
+        // BEFORE submitted. `submitted` is incremented (Release) before a
+        // request is visible to workers, and completed/failed only after the
+        // answer is sent, so reading outcomes first means any request that
+        // slips in between the loads can only raise `submitted` — every
+        // snapshot satisfies `submitted >= completed + failed`, and a drained
+        // shutdown reports exact equality.
+        let completed = self.completed.load(Ordering::Acquire);
+        let failed = self.failed.load(Ordering::Acquire);
+        let submitted = self.submitted.load(Ordering::Acquire);
+        let (model_version, cache) = {
+            let slot = read_slot(&self.slot);
+            let cache = slot.caches[self.shard].as_ref().map(|c| c.stats()).unwrap_or(CacheStats {
+                hits: 0,
+                misses: 0,
+                entries: 0,
+                capacity: 0,
+                epoch: slot.version,
+            });
+            (slot.version, cache)
+        };
+        let stale_index_entries = {
+            let store = self.store_read();
+            store.versions.values().filter(|&&v| v != model_version).count()
+        };
+        ServiceStats {
+            submitted,
+            completed,
+            rejected: self.rejected.load(Ordering::Relaxed), // relaxed-ok: standalone reject tally, no cross-counter invariant
+            failed,
+            batches: self.batches.load(Ordering::Relaxed), // relaxed-ok: monotone batch tally, no cross-counter invariant
+            queue_depth,
+            queue_wait: self.queue_wait.snapshot(),
+            encode: self.encode.snapshot(),
+            cache,
+            stale_index_entries,
+        }
     }
 
-    /// Stop accepting work, drain every queued request, join the workers,
-    /// and return the final stats.
-    pub fn shutdown(mut self) -> ServiceStats {
-        self.stop();
-        self.shared.stats()
-    }
-
-    /// Flip the service into shutdown without joining the workers: new
+    /// Flip the replica into shutdown without joining the workers: new
     /// submissions (including callers blocked on a full queue) fail with
     /// [`ServeError::ShuttingDown`], while already-queued requests still
-    /// drain. [`EmbeddingService::shutdown`] or drop completes the join.
-    pub fn begin_shutdown(&self) {
+    /// drain. The router joins the workers.
+    pub(crate) fn begin_shutdown(&self) {
         {
-            let mut st = self.shared.lock();
+            let mut st = self.lock();
             st.shutdown = true;
         }
-        self.shared.not_empty.notify_all();
-        self.shared.not_full.notify_all();
+        self.not_empty.notify_all();
+        self.not_full.notify_all();
     }
 
-    fn store_dim(&self) -> usize {
-        self.shared.store_read().index.dim()
-    }
-
-    fn stop(&mut self) {
-        self.begin_shutdown();
-        for handle in self.workers.drain(..) {
-            // A worker that panicked outside the guarded encode region has
-            // already answered its batch; nothing to propagate.
-            let _ = handle.join();
-        }
-    }
-
-    fn enqueue(&self, view: TrajView, block: bool) -> Result<EmbeddingHandle, ServeError> {
+    /// Queue `view`; while the queue is full, wait if `block`, else fail
+    /// with [`ServeError::QueueFull`].
+    pub(crate) fn enqueue(
+        &self,
+        view: TrajView,
+        block: bool,
+    ) -> Result<EmbeddingHandle, ServeError> {
         if let Err(e) = self.validate(&view) {
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed); // relaxed-ok: standalone reject tally
+            self.reject();
             return Err(ServeError::Invalid(e));
         }
         let (tx, rx) = mpsc::channel();
-        let mut st = self.shared.lock();
+        let mut st = self.lock();
         loop {
             if st.poisoned {
-                self.shared.rejected.fetch_add(1, Ordering::Relaxed); // relaxed-ok: standalone reject tally
+                self.reject();
                 return Err(ServeError::ModelPoisoned);
             }
             if st.shutdown {
-                self.shared.rejected.fetch_add(1, Ordering::Relaxed); // relaxed-ok: standalone reject tally
+                self.reject();
                 return Err(ServeError::ShuttingDown);
             }
-            if st.queue.len() < self.shared.cfg.queue_cap {
+            if st.queue.len() < self.cfg.queue_cap {
                 break;
             }
             if !block {
-                self.shared.rejected.fetch_add(1, Ordering::Relaxed); // relaxed-ok: standalone reject tally
-                return Err(ServeError::QueueFull { capacity: self.shared.cfg.queue_cap });
+                self.reject();
+                return Err(ServeError::QueueFull { capacity: self.cfg.queue_cap });
             }
-            st = self.shared.not_full.wait(st).unwrap_or_else(PoisonError::into_inner);
+            st = self.not_full.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         // Counter coherence: `submitted` is incremented BEFORE the request
         // becomes visible to any worker (we still hold the queue lock), with
-        // Release so the matching Acquire loads in `Shared::stats` order it
+        // Release so the matching Acquire loads in `stats` order it
         // against the later `completed`/`failed` increments. Together with
         // reading completed/failed first in `stats`, every snapshot observes
         // `submitted >= completed + failed`, with equality once a shutdown
         // has drained the queue and joined the workers.
-        self.shared.submitted.fetch_add(1, Ordering::Release);
+        self.submitted.fetch_add(1, Ordering::Release);
         st.queue.push_back(Request { view, tx, submitted_at: Instant::now() });
         drop(st);
-        self.shared.not_empty.notify_one();
+        self.not_empty.notify_one();
         Ok(EmbeddingHandle { rx })
     }
 
@@ -586,44 +413,26 @@ impl EmbeddingService {
         if view.is_empty() {
             return Err(EncodeError::EmptyView { index: 0 });
         }
-        let max_len = self.shared.slot().model.cfg.max_len;
-        if view.len() > max_len && !self.shared.cfg.clamp {
+        let max_len = read_slot(&self.slot).model.cfg.max_len;
+        if view.len() > max_len && !self.cfg.clamp {
             return Err(EncodeError::TooLong { index: 0, len: view.len(), max_len });
         }
         Ok(())
     }
 }
 
-impl Drop for EmbeddingService {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// The cache instance for one model version: fresh storage pinned to the
-/// version's epoch (see the module docs on structural invalidation).
-fn cache_for_version(cfg: &ServeConfig, version: u64) -> Option<Arc<EmbeddingCache>> {
-    (cfg.cache_capacity > 0).then(|| {
-        Arc::new(EmbeddingCache::with_shards_at_epoch(
-            cfg.cache_capacity,
-            cfg.cache_shards,
-            version,
-        ))
-    })
-}
-
 /// Pull one micro-batch off the queue, or `None` when the worker should
-/// exit (shutdown with an empty queue, or service poisoned).
-fn collect_batch(shared: &Shared) -> Option<Vec<Request>> {
-    let mut st = shared.lock();
+/// exit (shutdown with an empty queue, or replica poisoned).
+fn collect_batch(replica: &EmbeddingService) -> Option<Vec<Request>> {
+    let mut st = replica.lock();
     loop {
         if st.poisoned {
             return None;
         }
         if let Some(first) = st.queue.pop_front() {
             let mut batch = vec![first];
-            let max_batch = shared.cfg.max_batch.max(1);
-            let deadline = Instant::now() + shared.cfg.max_wait;
+            let max_batch = replica.cfg.max_batch.max(1);
+            let deadline = Instant::now() + replica.cfg.max_wait;
             loop {
                 while batch.len() < max_batch {
                     match st.queue.pop_front() {
@@ -631,7 +440,7 @@ fn collect_batch(shared: &Shared) -> Option<Vec<Request>> {
                         None => break,
                     }
                 }
-                // A shutting-down service flushes immediately: waiting out
+                // A shutting-down replica flushes immediately: waiting out
                 // the batching budget would only delay the drain.
                 if batch.len() >= max_batch || st.shutdown || st.poisoned {
                     break;
@@ -643,20 +452,20 @@ fn collect_batch(shared: &Shared) -> Option<Vec<Request>> {
                 if remaining.is_zero() {
                     break;
                 }
-                let (guard, _timeout) = shared
+                let (guard, _timeout) = replica
                     .not_empty
                     .wait_timeout(st, remaining)
                     .unwrap_or_else(PoisonError::into_inner);
                 st = guard;
             }
             drop(st);
-            shared.not_full.notify_all();
+            replica.not_full.notify_all();
             return Some(batch);
         }
         if st.shutdown {
             return None;
         }
-        st = shared.not_empty.wait(st).unwrap_or_else(PoisonError::into_inner);
+        st = replica.not_empty.wait(st).unwrap_or_else(PoisonError::into_inner);
     }
 }
 
@@ -679,13 +488,13 @@ fn log_interval() -> Option<Duration> {
     })
 }
 
-fn log_stats_line(shared: &Shared) {
-    let s = shared.stats();
+fn log_stats_line(replica: &EmbeddingService) {
+    let s = replica.stats();
     eprintln!(
         "[start-serve] v{} submitted={} completed={} failed={} rejected={} batches={} \
          mean_batch={:.1} depth={} wait_p50_us={} wait_p99_us={} enc_p50_us={} enc_p99_us={} \
          cache_hit_rate={:.3} stale_index={}",
-        s.model_version,
+        s.cache.epoch,
         s.submitted,
         s.completed,
         s.failed,
@@ -702,8 +511,8 @@ fn log_stats_line(shared: &Shared) {
     );
 }
 
-fn worker_loop(shared: &Shared, worker_id: usize) {
-    if let Some(warmup) = shared.cfg.worker_warmup {
+fn worker_loop(replica: &EmbeddingService, worker_id: usize) {
+    if let Some(warmup) = replica.cfg.worker_warmup {
         std::thread::sleep(warmup);
     }
     let log_every = if worker_id == 0 { log_interval() } else { None };
@@ -711,11 +520,11 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
     // Each worker owns one tape buffer pool for its whole life, so steady
     // state encodes allocate nothing.
     let mut pool = BufferPool::default();
-    while let Some(batch) = collect_batch(shared) {
+    while let Some(batch) = collect_batch(replica) {
         let picked_up = Instant::now();
         for req in &batch {
             let wait = picked_up.duration_since(req.submitted_at);
-            shared.queue_wait.record_us(wait.as_micros() as u64);
+            replica.queue_wait.record_us(wait.as_micros() as u64);
         }
         let views: Vec<TrajView> = batch.iter().map(|r| r.view.clone()).collect();
         // Pin the slot once per micro-batch: version, weights and cache are
@@ -725,21 +534,22 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
         // decrements on drop (even through a panic), after the replies
         // below have been sent.
         let (version, model, cache, _in_flight) = {
-            let slot = shared.slot();
-            (slot.version, Arc::clone(&slot.model), slot.cache.clone(), slot.in_flight.enter())
+            let slot = read_slot(&replica.slot);
+            let cache = slot.caches[replica.shard].clone();
+            (slot.version, Arc::clone(&slot.model), cache, slot.in_flight.enter())
         };
         let opts = EncodeOptions {
             threads: 1,
-            chunk: shared.cfg.max_batch.max(1),
-            clamp: shared.cfg.clamp,
+            chunk: replica.cfg.max_batch.max(1),
+            clamp: replica.cfg.clamp,
             cache,
         };
         let taken = std::mem::take(&mut pool);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             model.encoder().encode_views_pooled(&views, &opts, taken)
         }));
-        shared.encode.record_us(picked_up.elapsed().as_micros() as u64);
-        shared.batches.fetch_add(1, Ordering::Relaxed); // relaxed-ok: monotone batch tally
+        replica.encode.record_us(picked_up.elapsed().as_micros() as u64);
+        replica.batches.fetch_add(1, Ordering::Relaxed); // relaxed-ok: monotone batch tally
         match outcome {
             Ok(Ok((embeddings, returned))) => {
                 pool = returned;
@@ -747,7 +557,7 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
                     // A dropped handle is a caller choice, not a failure.
                     let _ = req.tx.send(Ok((emb, version)));
                     // Release pairs with the Acquire snapshot in `stats`.
-                    shared.completed.fetch_add(1, Ordering::Release);
+                    replica.completed.fetch_add(1, Ordering::Release);
                 }
             }
             Ok(Err(e)) => {
@@ -756,26 +566,26 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
                 // with the typed error rather than wedging the callers.
                 for req in batch {
                     let _ = req.tx.send(Err(ServeError::Invalid(e.clone())));
-                    shared.failed.fetch_add(1, Ordering::Release);
+                    replica.failed.fetch_add(1, Ordering::Release);
                 }
             }
             Err(payload) => {
                 let message = panic_message(payload);
                 let drained: Vec<Request> = {
-                    let mut st = shared.lock();
+                    let mut st = replica.lock();
                     st.poisoned = true;
                     st.queue.drain(..).collect()
                 };
-                shared.not_empty.notify_all();
-                shared.not_full.notify_all();
+                replica.not_empty.notify_all();
+                replica.not_full.notify_all();
                 for req in batch {
                     let _ =
                         req.tx.send(Err(ServeError::WorkerPanicked { message: message.clone() }));
-                    shared.failed.fetch_add(1, Ordering::Release);
+                    replica.failed.fetch_add(1, Ordering::Release);
                 }
                 for req in drained {
                     let _ = req.tx.send(Err(ServeError::ModelPoisoned));
-                    shared.failed.fetch_add(1, Ordering::Release);
+                    replica.failed.fetch_add(1, Ordering::Release);
                 }
                 return;
             }
@@ -783,7 +593,7 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
         if let Some(period) = log_every {
             if last_log.elapsed() >= period {
                 last_log = Instant::now();
-                log_stats_line(shared);
+                log_stats_line(replica);
             }
         }
     }

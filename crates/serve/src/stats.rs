@@ -113,7 +113,7 @@ pub struct HistogramSnapshot {
     pub max_us: u64,
 }
 
-/// Point-in-time counters for the whole service.
+/// Point-in-time counters of one router replica.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceStats {
     /// Requests accepted into the queue.
@@ -136,8 +136,6 @@ pub struct ServiceStats {
     /// model version's** cache instance; a hot-swap starts these from zero
     /// (`cache.epoch` names the version they describe).
     pub cache: CacheStats,
-    /// The model version currently serving (0 until the first publish).
-    pub model_version: u64,
     /// kNN entries indexed under a model version other than the current
     /// one — the re-indexing backlog left behind by checkpoint hot-swaps.
     pub stale_index_entries: usize,

@@ -1,7 +1,8 @@
 //! Executable concurrency models for the serving layer, explored by the
 //! `start_sync` model checker: the submit/flush/shutdown/poison-drain queue
-//! protocol (a faithful skeleton of `service.rs`) and the real [`Histogram`]
-//! under concurrent recording.
+//! protocol (a faithful skeleton of `service.rs`), the router's one-slot
+//! publish protocol (pin, swap, drain, version-tagged index), and the real
+//! [`Histogram`] under concurrent recording.
 //!
 //! Each model must stay clean across at least 1,000 distinct schedules —
 //! the CI floor pinned by `ci.yml`. Seeds come from `ModelConfig::default`
@@ -12,7 +13,7 @@ use std::collections::VecDeque;
 use start_serve::Histogram;
 use start_sync::atomic::{AtomicU64, Ordering};
 use start_sync::model::{check, spawn_named, ModelConfig};
-use start_sync::{Arc, Condvar, Mutex, PoisonError};
+use start_sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock};
 
 const MIN_SCHEDULES: usize = 1_000;
 
@@ -63,7 +64,7 @@ impl QueueModel {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Mirror of `EmbeddingService::enqueue` with `block = true`.
+    /// Mirror of the replica's `enqueue` with `block = true`.
     fn submit(&self, item: u32) -> Result<(), ()> {
         let mut st = self.lock();
         loop {
@@ -237,6 +238,183 @@ fn serve_queue_poison_drain_model_is_clean() {
         assert_eq!(submitted, completed + failed, "poison drain lost a request");
         assert!(failed >= 1, "the poison batch itself must be failed");
         assert!(m.lock().queue.is_empty());
+    });
+    report.assert_clean();
+    assert!(
+        report.distinct_schedules >= MIN_SCHEDULES,
+        "explored only {} schedules",
+        report.distinct_schedules
+    );
+}
+
+// ---------------------------------------------------------------------------
+// The one-slot publish protocol
+// ---------------------------------------------------------------------------
+
+/// Versions a slot model can reach: version 0 plus two publishes.
+const VERSIONS: usize = 3;
+
+/// The "weights" of a version; a reply's vector encodes them, so an index
+/// entry's vector names the version that produced it.
+fn weight(version: u64) -> u64 {
+    10 + version
+}
+
+/// Skeleton of the router's in-flight counter: the publish drain barrier.
+struct InFlight {
+    active: Mutex<u64>,
+    zero: Condvar,
+}
+
+impl InFlight {
+    fn lock(&self) -> start_sync::MutexGuard<'_, u64> {
+        self.active.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn drain(&self) {
+        let mut n = self.lock();
+        while *n > 0 {
+            n = self.zero.wait(n).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// Registration with an [`InFlight`]; decrements on drop, after the reply.
+struct InFlightGuard(Arc<InFlight>);
+
+impl Drop for InFlightGuard {
+    fn drop(&mut self) {
+        let mut n = self.0.lock();
+        *n -= 1;
+        if *n == 0 {
+            self.0.zero.notify_all();
+        }
+    }
+}
+
+/// Skeleton of the router's `ModelSlot`.
+struct Slot {
+    version: u64,
+    weight: u64,
+    in_flight: Arc<InFlight>,
+}
+
+impl Slot {
+    fn at(version: u64) -> Self {
+        let in_flight = Arc::new(InFlight { active: Mutex::new(0), zero: Condvar::new() });
+        Self { version, weight: weight(version), in_flight }
+    }
+}
+
+type Reply = mpsc::Sender<(u64, u64)>;
+
+/// One router over one shared slot: the worker's pin, the publisher's swap
+/// and drain, and the indexer's encode → wait → tag, with counters that
+/// audit each step.
+struct SlotModel {
+    slot: RwLock<Slot>,
+    /// Micro-batches pinned per version (counted under the read lock).
+    pinned: [AtomicU64; VERSIONS],
+    /// Replies sent per version.
+    sent: [AtomicU64; VERSIONS],
+    /// Index entries: `(tag, vector)`.
+    index: Mutex<Vec<(u64, u64)>>,
+}
+
+impl SlotModel {
+    fn new() -> Self {
+        Self {
+            slot: RwLock::new(Slot::at(0)),
+            pinned: std::array::from_fn(|_| AtomicU64::new(0)),
+            sent: std::array::from_fn(|_| AtomicU64::new(0)),
+            index: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn read_version(&self) -> u64 {
+        self.slot.read().unwrap_or_else(PoisonError::into_inner).version
+    }
+
+    /// Mirror of `worker_loop`: pin the slot and enter in-flight under one
+    /// read lock, encode lock-free, reply with the version tag, then leave.
+    fn worker(&self, requests: mpsc::Receiver<(u64, Reply)>) {
+        while let Ok((item, reply)) = requests.recv() {
+            let (version, weight, _in_flight) = {
+                let slot = self.slot.read().unwrap_or_else(PoisonError::into_inner);
+                *slot.in_flight.lock() += 1;
+                self.pinned[slot.version as usize].fetch_add(1, Ordering::SeqCst);
+                (slot.version, slot.weight, InFlightGuard(Arc::clone(&slot.in_flight)))
+            };
+            let _ = reply.send((weight * 100 + item, version));
+            self.sent[version as usize].fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Mirror of `Router::publish`: swap under one write lock, then drain.
+    fn publish(&self) {
+        let old = {
+            let mut slot = self.slot.write().unwrap_or_else(PoisonError::into_inner);
+            let next = Slot::at(slot.version + 1);
+            std::mem::replace(&mut *slot, next)
+        };
+        old.in_flight.drain();
+        let v = old.version as usize;
+        assert_eq!(
+            self.sent[v].load(Ordering::SeqCst),
+            self.pinned[v].load(Ordering::SeqCst),
+            "publish returned before every version-{v} reply was sent"
+        );
+    }
+
+    /// Mirror of `Router::index`: encode → `wait_versioned` → tag.
+    fn index(&self, requests: &mpsc::Sender<(u64, Reply)>, item: u64) {
+        let (tx, rx) = mpsc::channel();
+        let _ = requests.send((item, tx));
+        let Ok((vector, version)) = rx.recv() else { return };
+        self.index.lock().unwrap_or_else(PoisonError::into_inner).push((version, vector));
+    }
+}
+
+/// The router's one-slot protocol, explored over a worker, a publisher
+/// (two publishes) and an indexer (two entries): no deadlock, `publish`
+/// returns only after every old-version reply is sent, and every index
+/// entry is tagged with the version that produced its vector.
+#[test]
+fn router_one_slot_publish_and_index_model_is_clean() {
+    let report = check(&cfg(), || {
+        let m = Arc::new(SlotModel::new());
+        let (requests, queue) = mpsc::channel();
+        let w = {
+            let m = Arc::clone(&m);
+            spawn_named("worker", move || m.worker(queue))
+        };
+        let p = {
+            let m = Arc::clone(&m);
+            spawn_named("publisher", move || {
+                m.publish();
+                m.publish();
+            })
+        };
+        let i = {
+            let m = Arc::clone(&m);
+            spawn_named("indexer", move || {
+                m.index(&requests, 1);
+                m.index(&requests, 2);
+            })
+        };
+        let _ = i.join();
+        let _ = p.join();
+        let _ = w.join();
+        assert_eq!(m.read_version(), 2);
+        let index = m.index.lock().unwrap_or_else(PoisonError::into_inner);
+        assert_eq!(index.len(), 2, "an index request went unanswered");
+        for &(tag, vector) in index.iter() {
+            assert_eq!(
+                vector / 100,
+                weight(tag),
+                "entry tagged v{tag} holds another version's vector"
+            );
+        }
     });
     report.assert_clean();
     assert!(

@@ -1,9 +1,11 @@
 //! End-to-end tests of the sharded `Router`: fingerprint shard purity, the
-//! bitwise contract against a single `EmbeddingService` for any replica
-//! count, scatter-gather kNN agreement, checkpoint hot-swap (version-tagged
-//! replies, atomic refusal, stale-index tagging), and the live
+//! bitwise contract against the offline encoder for any replica count,
+//! scatter-gather kNN agreement with a 1-replica router, checkpoint
+//! hot-swap (version-tagged replies, atomic refusal, stale-index tagging,
+//! index entries tagged with the version that produced them), and the live
 //! trainer-to-router publish flow.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -12,7 +14,7 @@ use start_core::encoder::{fingerprint_view, EncodeOptions};
 use start_core::{pretrain_with_publish, PretrainConfig, StartConfig, StartModel};
 use start_nn::PublishCadence;
 use start_roadnet::synth::{generate_city, City, CityConfig};
-use start_serve::{EmbeddingService, Router, RouterConfig, ServeConfig, ServeError};
+use start_serve::{Router, RouterConfig, ServeConfig, ServeError};
 use start_traj::{PreprocessConfig, SimConfig, Simulator, TrajDataset, TrajView, Trajectory};
 
 struct Fixture {
@@ -107,14 +109,16 @@ fn router_encode_is_bitwise_the_encoder_answer_for_any_replica_count() {
     }
 }
 
-/// Scatter-gather kNN reproduces the single-service answer exactly: same
-/// ids, same order, same distance bits — including the `(distance, id)`
-/// tie-break.
+/// Scatter-gather kNN over N replicas reproduces the 1-replica answer
+/// exactly: same ids, same order, same distance bits — including the
+/// `(distance, id)` tie-break.
 #[test]
 fn router_knn_matches_the_single_service_bitwise() {
     let fix = fixture();
-    let single =
-        EmbeddingService::start(Arc::clone(&fix.model), ServeConfig::builder().build().unwrap());
+    let single = Router::start(
+        Arc::clone(&fix.model),
+        router_config(1, ServeConfig::builder().build().unwrap()),
+    );
     let router = Router::start(
         Arc::clone(&fix.model),
         router_config(3, ServeConfig::builder().build().unwrap()),
@@ -129,7 +133,7 @@ fn router_knn_matches_the_single_service_bitwise() {
         let got = router.knn(t, 5).unwrap();
         assert_eq!(got.len(), expected.len());
         for (g, e) in got.iter().zip(&expected) {
-            assert_eq!(g.id, e.id, "kNN ids diverged from the single service");
+            assert_eq!(g.id, e.id, "kNN ids diverged from the 1-replica router");
             assert_eq!(g.distance.to_bits(), e.distance.to_bits(), "distance bits diverged");
         }
     }
@@ -157,12 +161,9 @@ fn publish_with_queued_requests_drops_nothing_and_versions_every_reply() {
     let router = Router::start(Arc::clone(&fix.model), router_config(2, serve));
     let handles: Vec<_> = fix.data.iter().map(|t| router.submit(t).unwrap()).collect();
 
-    let reports = router.publish(Arc::clone(&next)).unwrap();
-    assert_eq!(reports.len(), 2);
-    for r in &reports {
-        assert_eq!(r.previous_version, 0);
-        assert_eq!(r.version, 1);
-    }
+    let report = router.publish(Arc::clone(&next)).unwrap();
+    assert_eq!(report.previous_version, 0);
+    assert_eq!(report.version, 1);
     assert_eq!(router.model_version(), 1);
 
     for (i, h) in handles.into_iter().enumerate() {
@@ -177,8 +178,8 @@ fn publish_with_queued_requests_drops_nothing_and_versions_every_reply() {
     assert_eq!(stats.failed(), 0);
 }
 
-/// A wrong-dimension checkpoint is refused atomically: a typed error, no
-/// replica swapped, and the router keeps serving version 0 afterwards.
+/// A wrong-dimension checkpoint is refused atomically: a typed error,
+/// nothing swapped, and the router keeps serving version 0 afterwards.
 #[test]
 fn wrong_dimension_checkpoint_is_refused_atomically() {
     let fix = fixture();
@@ -189,12 +190,10 @@ fn wrong_dimension_checkpoint_is_refused_atomically() {
     let router = Router::start(Arc::clone(&fix.model), router_config(3, cache_off(1)));
     let err = router.publish(bad).unwrap_err();
     assert_eq!(err, ServeError::DimensionMismatch { expected: dim, got: dim * 2 });
-    assert_eq!(router.model_version(), 0, "a refused publish must not bump any replica");
-    for s in &router.stats().replicas {
-        assert_eq!(s.model_version, 0);
-    }
+    assert_eq!(router.model_version(), 0, "a refused publish must not bump the version");
+    assert_eq!(router.stats().model_version, 0);
 
-    // A matching checkpoint still goes through afterwards, in lockstep.
+    // A matching checkpoint still goes through afterwards.
     let good = Arc::new(StartModel::new(StartConfig::test_scale(), &fix.city.net, None, None, 45));
     router.publish(good).unwrap();
     assert_eq!(router.model_version(), 1);
@@ -223,6 +222,64 @@ fn hot_swap_tags_stale_index_entries_until_reindexed() {
     let stale = router.stale_indexed_ids();
     assert_eq!(stale.len(), 8);
     assert!(!stale.contains(&3) && !stale.contains(&7));
+    let _ = router.shutdown();
+}
+
+/// `Router::index` tags each entry with the version whose reply it
+/// indexed, even while publishes race it: afterwards every entry not on
+/// the stale worklist is bitwise the current model's encode of its
+/// trajectory, so an exact query finds it at distance zero. Several
+/// indexers keep the workers busy and each publish waits for them to make
+/// progress, so every swap lands mid-pass with index requests in flight,
+/// and entries follow the last one.
+#[test]
+fn index_racing_publish_never_tags_an_old_vector_as_current() {
+    const INDEXERS: usize = 3;
+    let fix = fixture();
+    let mut seen = std::collections::HashSet::new();
+    let distinct: Vec<Trajectory> = fix
+        .data
+        .iter()
+        .filter(|t| seen.insert(fingerprint_view(&TrajView::identity(t))))
+        .cloned()
+        .collect();
+    let models: Vec<Arc<StartModel>> = (0..4)
+        .map(|i| {
+            Arc::new(StartModel::new(StartConfig::test_scale(), &fix.city.net, None, None, 50 + i))
+        })
+        .collect();
+    let router = Router::start(Arc::clone(&fix.model), router_config(2, cache_off(1)));
+    let progress = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for lane in 0..INDEXERS {
+            let (router, distinct, progress) = (&router, &distinct, &progress);
+            s.spawn(move || {
+                for (i, t) in distinct.iter().enumerate().skip(lane).step_by(INDEXERS) {
+                    router.index(i as u64, t).unwrap();
+                    progress.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        }
+        for (j, model) in models.iter().enumerate() {
+            while progress.load(Ordering::SeqCst) < 3 * (j + 1) {
+                std::thread::yield_now();
+            }
+            router.publish(Arc::clone(model)).unwrap();
+        }
+    });
+    assert_eq!(router.model_version(), models.len() as u64);
+    let stale = router.stale_indexed_ids();
+    assert!(stale.len() < distinct.len(), "no entry was indexed after the last publish");
+    let current = models.last().unwrap();
+    let offline = current.encoder().encode(&distinct, &EncodeOptions::default()).unwrap();
+    for (i, q) in offline.iter().enumerate() {
+        if stale.contains(&(i as u64)) {
+            continue;
+        }
+        let hit = router.knn_embedding(q, 1).unwrap();
+        assert_eq!(hit[0].id, i as u64, "entry {i} is tagged current but holds another vector");
+        assert_eq!(hit[0].distance, 0.0, "entry {i} is tagged current but holds an old vector");
+    }
     let _ = router.shutdown();
 }
 

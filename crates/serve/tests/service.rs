@@ -1,6 +1,7 @@
-//! End-to-end tests of the embedding service: the bitwise contract against
-//! the offline `Encoder` facade, cache semantics, backpressure, panic
-//! containment, and graceful shutdown.
+//! End-to-end tests of one serving replica, driven through a 1-replica
+//! `Router`: the bitwise contract against the offline `Encoder` facade,
+//! cache semantics, backpressure, panic containment, graceful shutdown, and
+//! the kNN index backends.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -10,7 +11,9 @@ use start_core::encoder::{EncodeError, EncodeOptions};
 use start_core::{StartConfig, StartModel};
 use start_roadnet::synth::{generate_city, CityConfig};
 use start_roadnet::SegmentId;
-use start_serve::{EmbeddingService, HnswConfig, IndexKind, ServeConfig, ServeError};
+use start_serve::{
+    HnswConfig, IndexKind, Router, RouterConfig, RouterStats, ServeConfig, ServeError, ServiceStats,
+};
 use start_traj::{SimConfig, Simulator, TrajView, Trajectory};
 
 struct Fixture {
@@ -44,12 +47,23 @@ fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
     }
 }
 
+/// A 1-replica router over the fixture model: one queue, one worker pool,
+/// one cache, one index shard.
+fn one_replica(serve: ServeConfig) -> Router {
+    let cfg = RouterConfig::builder().replicas(1).serve(serve).build().unwrap();
+    Router::start(Arc::clone(&fixture().model), cfg)
+}
+
+/// The counters of the only replica.
+fn only(stats: RouterStats) -> ServiceStats {
+    stats.replicas.into_iter().next().unwrap()
+}
+
 #[test]
 fn service_output_bitwise_matches_the_encoder_for_any_worker_count() {
     let fix = fixture();
     for workers in [1usize, 4] {
-        let service = EmbeddingService::start(
-            Arc::clone(&fix.model),
+        let service = one_replica(
             ServeConfig::builder()
                 .workers(workers)
                 .max_batch(5)
@@ -59,7 +73,7 @@ fn service_output_bitwise_matches_the_encoder_for_any_worker_count() {
                 .unwrap(),
         );
         let served = service.encode(&fix.data).unwrap();
-        let stats = service.shutdown();
+        let stats = only(service.shutdown());
         assert_eq!(served.len(), fix.reference.len());
         for (i, (s, r)) in served.iter().zip(&fix.reference).enumerate() {
             assert_bits_eq(s, r, &format!("workers={workers} trajectory {i}"));
@@ -74,15 +88,12 @@ fn service_output_bitwise_matches_the_encoder_for_any_worker_count() {
 #[test]
 fn cache_hit_returns_the_identical_vector() {
     let fix = fixture();
-    let service = EmbeddingService::start(
-        Arc::clone(&fix.model),
-        ServeConfig::builder().workers(1).build().unwrap(),
-    );
+    let service = one_replica(ServeConfig::builder().workers(1).build().unwrap());
     let first = service.submit(&fix.data[0]).unwrap().wait().unwrap();
     let second = service.submit(&fix.data[0]).unwrap().wait().unwrap();
     assert_bits_eq(&first, &second, "cache round trip");
     assert_bits_eq(&first, &fix.reference[0], "cached vs reference");
-    let stats = service.shutdown();
+    let stats = only(service.shutdown());
     assert!(stats.cache.hits >= 1, "second request should hit the cache: {:?}", stats.cache);
     assert!(stats.cache.entries >= 1);
 }
@@ -90,8 +101,7 @@ fn cache_hit_returns_the_identical_vector() {
 #[test]
 fn graceful_shutdown_drains_every_queued_request() {
     let fix = fixture();
-    let service = EmbeddingService::start(
-        Arc::clone(&fix.model),
+    let service = one_replica(
         ServeConfig::builder()
             .workers(2)
             .cache_capacity(0)
@@ -102,7 +112,7 @@ fn graceful_shutdown_drains_every_queued_request() {
             .unwrap(),
     );
     let handles: Vec<_> = (0..8).map(|i| service.submit(&fix.data[i]).unwrap()).collect();
-    let stats = service.shutdown();
+    let stats = only(service.shutdown());
     for (i, h) in handles.into_iter().enumerate() {
         let emb = h.wait().unwrap_or_else(|e| panic!("request {i} lost in shutdown: {e}"));
         assert_bits_eq(&emb, &fix.reference[i], &format!("drained request {i}"));
@@ -114,8 +124,7 @@ fn graceful_shutdown_drains_every_queued_request() {
 #[test]
 fn submitting_after_shutdown_is_a_typed_error() {
     let fix = fixture();
-    let service = EmbeddingService::start(
-        Arc::clone(&fix.model),
+    let service = one_replica(
         ServeConfig::builder()
             .workers(1)
             .worker_warmup(Duration::from_millis(150))
@@ -129,7 +138,7 @@ fn submitting_after_shutdown_is_a_typed_error() {
     let err = service.submit(&fix.data[1]).unwrap_err();
     assert_eq!(err, ServeError::ShuttingDown);
     assert!(h.wait().is_ok());
-    let stats = service.shutdown();
+    let stats = only(service.shutdown());
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.rejected, 1);
 }
@@ -137,8 +146,7 @@ fn submitting_after_shutdown_is_a_typed_error() {
 #[test]
 fn try_submit_reports_queue_full() {
     let fix = fixture();
-    let service = EmbeddingService::start(
-        Arc::clone(&fix.model),
+    let service = one_replica(
         ServeConfig::builder()
             .workers(1)
             .queue_cap(2)
@@ -150,7 +158,7 @@ fn try_submit_reports_queue_full() {
     let h2 = service.try_submit(&fix.data[1]).unwrap();
     let err = service.try_submit(&fix.data[2]).unwrap_err();
     assert_eq!(err, ServeError::QueueFull { capacity: 2 });
-    let stats = service.stats();
+    let stats = only(service.stats());
     assert_eq!(stats.rejected, 1);
     // The accepted pair still completes once the worker wakes.
     assert!(h1.wait().is_ok());
@@ -159,21 +167,17 @@ fn try_submit_reports_queue_full() {
 
 #[test]
 fn empty_submission_is_rejected_at_the_door() {
-    let fix = fixture();
-    let service = EmbeddingService::start(Arc::clone(&fix.model), ServeConfig::default());
+    let service = one_replica(ServeConfig::default());
     let empty = TrajView { roads: vec![], times: vec![], masked: vec![], embed_dropout: 0.0 };
     let err = service.submit_view(empty).unwrap_err();
     assert_eq!(err, ServeError::Invalid(EncodeError::EmptyView { index: 0 }));
-    assert_eq!(service.stats().rejected, 1);
+    assert_eq!(only(service.stats()).rejected, 1);
 }
 
 #[test]
 fn overlong_submission_is_rejected_when_clamping_is_off() {
     let fix = fixture();
-    let service = EmbeddingService::start(
-        Arc::clone(&fix.model),
-        ServeConfig::builder().clamp(false).build().unwrap(),
-    );
+    let service = one_replica(ServeConfig::builder().clamp(false).build().unwrap());
     let max_len = fix.model.cfg.max_len;
     let mut view = TrajView::identity(&fix.data[0]);
     while view.roads.len() <= max_len {
@@ -189,10 +193,7 @@ fn overlong_submission_is_rejected_when_clamping_is_off() {
 #[test]
 fn worker_panic_is_typed_and_poisons_the_service() {
     let fix = fixture();
-    let service = EmbeddingService::start(
-        Arc::clone(&fix.model),
-        ServeConfig::builder().workers(1).cache_capacity(0).build().unwrap(),
-    );
+    let service = one_replica(ServeConfig::builder().workers(1).cache_capacity(0).build().unwrap());
     // A road id far outside the network: passes length validation, then
     // blows up inside the model's embedding gather — a genuine worker panic.
     let mut view = TrajView::identity(&fix.data[0]);
@@ -205,17 +206,14 @@ fn worker_panic_is_typed_and_poisons_the_service() {
     // The panic poisons the whole service: future submissions are refused.
     let err = service.submit(&fix.data[0]).unwrap_err();
     assert_eq!(err, ServeError::ModelPoisoned);
-    let stats = service.shutdown();
+    let stats = only(service.shutdown());
     assert!(stats.failed >= 1);
 }
 
 #[test]
 fn knn_finds_the_indexed_trajectory_itself() {
     let fix = fixture();
-    let service = EmbeddingService::start(
-        Arc::clone(&fix.model),
-        ServeConfig::builder().workers(2).build().unwrap(),
-    );
+    let service = one_replica(ServeConfig::builder().workers(2).build().unwrap());
     for (i, t) in fix.data.iter().enumerate() {
         service.index(i as u64, t).unwrap();
     }
@@ -245,9 +243,7 @@ proptest! {
         max_batch in 1..7usize,
     ) {
         let fix = fixture();
-        let service = EmbeddingService::start(
-            Arc::clone(&fix.model),
-            ServeConfig::builder()
+        let service = one_replica(ServeConfig::builder()
                 .workers(workers)
                 .max_batch(max_batch)
                 .max_wait(Duration::from_micros(500))
@@ -266,7 +262,7 @@ proptest! {
                 prop_assert_eq!(x.to_bits(), y.to_bits(), "answer for slot of trajectory {} diverged", i);
             }
         }
-        let stats = service.shutdown();
+        let stats = only(service.shutdown());
         prop_assert_eq!(stats.completed, idxs.len() as u64);
         prop_assert_eq!(stats.failed, 0u64);
     }
@@ -285,10 +281,8 @@ fn dimension_mismatch_is_typed_and_the_service_stays_healthy() {
     let fix = fixture();
     let dim = fix.reference[0].len();
     for kind in [IndexKind::BruteForce, IndexKind::Hnsw(HnswConfig::default())] {
-        let service = EmbeddingService::start(
-            Arc::clone(&fix.model),
-            ServeConfig::builder().workers(1).index(kind.clone()).build().unwrap(),
-        );
+        let service =
+            one_replica(ServeConfig::builder().workers(1).index(kind.clone()).build().unwrap());
         service.index(0, &fix.data[0]).unwrap();
 
         let bad = vec![0.0f32; dim + 3];
@@ -310,7 +304,7 @@ fn dimension_mismatch_is_typed_and_the_service_stays_healthy() {
         let hits = service.knn(&fix.data[0], 1).unwrap();
         assert_eq!(hits[0].id, 0, "{kind:?}");
         assert_eq!(hits[0].distance, 0.0, "{kind:?}");
-        let stats = service.shutdown();
+        let stats = only(service.shutdown());
         assert_eq!(stats.rejected, 2, "{kind:?}: both bad vectors counted as rejected");
     }
 }
@@ -321,12 +315,8 @@ fn dimension_mismatch_is_typed_and_the_service_stays_healthy() {
 #[test]
 fn hnsw_backed_service_matches_brute_force_exactly_on_small_stores() {
     let fix = fixture();
-    let brute = EmbeddingService::start(
-        Arc::clone(&fix.model),
-        ServeConfig::builder().workers(1).build().unwrap(),
-    );
-    let hnsw = EmbeddingService::start(
-        Arc::clone(&fix.model),
+    let brute = one_replica(ServeConfig::builder().workers(1).build().unwrap());
+    let hnsw = one_replica(
         ServeConfig::builder()
             .workers(1)
             .index(IndexKind::Hnsw(
@@ -365,10 +355,8 @@ fn both_backends_break_ties_toward_smaller_ids() {
         IndexKind::BruteForce,
         IndexKind::Hnsw(HnswConfig::builder().ef_search(1000).build().unwrap()),
     ] {
-        let service = EmbeddingService::start(
-            Arc::clone(&fix.model),
-            ServeConfig::builder().workers(1).index(kind.clone()).build().unwrap(),
-        );
+        let service =
+            one_replica(ServeConfig::builder().workers(1).index(kind.clone()).build().unwrap());
         for id in [9u64, 2, 5] {
             service.index_embedding(id, &tied).unwrap();
         }
@@ -386,10 +374,8 @@ fn both_backends_break_ties_toward_smaller_ids() {
 fn removed_ids_are_never_returned_by_either_backend() {
     let fix = fixture();
     for kind in [IndexKind::BruteForce, IndexKind::Hnsw(HnswConfig::default())] {
-        let service = EmbeddingService::start(
-            Arc::clone(&fix.model),
-            ServeConfig::builder().workers(1).index(kind.clone()).build().unwrap(),
-        );
+        let service =
+            one_replica(ServeConfig::builder().workers(1).index(kind.clone()).build().unwrap());
         for (i, t) in fix.data.iter().enumerate() {
             service.index(i as u64, t).unwrap();
         }
@@ -403,33 +389,6 @@ fn removed_ids_are_never_returned_by_either_backend() {
     }
 }
 
-/// `rebuild_index` migrates every live embedding between backends without
-/// re-encoding; answers survive the swap exactly (exhaustive beam).
-#[test]
-fn rebuilding_from_brute_force_to_hnsw_preserves_answers() {
-    let fix = fixture();
-    let service = EmbeddingService::start(
-        Arc::clone(&fix.model),
-        ServeConfig::builder().workers(1).build().unwrap(),
-    );
-    for (i, t) in fix.data.iter().enumerate() {
-        service.index(i as u64, t).unwrap();
-    }
-    let before: Vec<_> = fix.data.iter().take(4).map(|t| service.knn(t, 3).unwrap()).collect();
-    service
-        .rebuild_index(IndexKind::Hnsw(HnswConfig::builder().ef_search(10_000).build().unwrap()));
-    assert_eq!(service.indexed_len(), fix.data.len());
-    for (t, expected) in fix.data.iter().take(4).zip(&before) {
-        let got = service.knn(t, 3).unwrap();
-        assert_eq!(got.len(), expected.len());
-        for (g, e) in got.iter().zip(expected) {
-            assert_eq!(g.id, e.id);
-            assert_eq!(g.distance.to_bits(), e.distance.to_bits());
-        }
-    }
-    let _ = service.shutdown();
-}
-
 /// Counter-coherence contract (see `Shared::stats`): `submitted` rises
 /// before a request is visible and outcomes are read first in a snapshot,
 /// so `submitted >= completed + failed` in every point-in-time read, and a
@@ -437,8 +396,7 @@ fn rebuilding_from_brute_force_to_hnsw_preserves_answers() {
 #[test]
 fn drained_shutdown_reports_submitted_equals_completed_plus_failed() {
     let fix = fixture();
-    let service = EmbeddingService::start(
-        Arc::clone(&fix.model),
+    let service = one_replica(
         ServeConfig::builder()
             .workers(3)
             .max_batch(4)
@@ -448,12 +406,12 @@ fn drained_shutdown_reports_submitted_equals_completed_plus_failed() {
     );
     let handles: Vec<_> = fix.data.iter().map(|t| service.submit(t).unwrap()).collect();
     // Mid-flight snapshots may lag but can never over-report outcomes.
-    let mid = service.stats();
+    let mid = only(service.stats());
     assert!(mid.submitted >= mid.completed + mid.failed, "incoherent mid-flight snapshot: {mid:?}");
     for h in handles {
         h.wait().unwrap();
     }
-    let stats = service.shutdown();
+    let stats = only(service.shutdown());
     assert_eq!(stats.submitted, fix.data.len() as u64);
     assert_eq!(
         stats.submitted,

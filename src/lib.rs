@@ -28,7 +28,7 @@
 //! ```
 //!
 //! For online inference — micro-batched workers, an embedding cache, and a
-//! kNN endpoint — see [`serve::EmbeddingService`].
+//! kNN endpoint — see [`serve::Router`].
 
 pub use start_baselines as baselines;
 pub use start_core as core;
