@@ -32,7 +32,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use crate::store::{Precision, VectorStore};
-use crate::{AnnError, Neighbor, VectorIndex};
+use crate::{check_vector, AnnError, Neighbor, VectorIndex};
 
 /// Tunables for [`Hnsw`]. See the module docs for the trade-offs.
 #[derive(Debug, Clone, PartialEq)]
@@ -406,12 +406,7 @@ impl Hnsw {
     }
 
     fn insert_vector(&mut self, id: u64, vector: &[f32]) -> Result<(), AnnError> {
-        if vector.len() != self.store.dim() {
-            return Err(AnnError::DimensionMismatch {
-                expected: self.store.dim(),
-                got: vector.len(),
-            });
-        }
+        check_vector(self.store.dim(), vector)?;
         // Overwrite semantics: tombstone the old row, insert a fresh node.
         self.remove_id(id);
 
@@ -481,12 +476,7 @@ impl Hnsw {
     }
 
     fn search(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>, AnnError> {
-        if query.len() != self.store.dim() {
-            return Err(AnnError::DimensionMismatch {
-                expected: self.store.dim(),
-                got: query.len(),
-            });
-        }
+        check_vector(self.store.dim(), query)?;
         let Some(entry) = self.entry else {
             return Ok(Vec::new());
         };
@@ -543,8 +533,8 @@ impl VectorIndex for Hnsw {
     }
 
     fn for_each(&self, f: &mut dyn FnMut(u64, &[f32])) {
-        // Node order, not HashMap order: iteration (and therefore any
-        // rebuild built from it) is deterministic for a given history.
+        // Node order, not HashMap order: iteration is deterministic for a
+        // given history.
         let mut row = Vec::with_capacity(self.store.dim());
         for node in 0..self.nodes.len() {
             if self.dead[node] {
@@ -553,10 +543,6 @@ impl VectorIndex for Hnsw {
             self.store.copy_row(node as u32, &mut row);
             f(self.ids[node], &row);
         }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        Hnsw::memory_bytes(self)
     }
 }
 

@@ -8,7 +8,8 @@
 //!
 //! - [`VectorIndex`] — the capability every kNN backend implements:
 //!   incremental insert, removal, deterministic k-nearest queries, and
-//!   iteration (for rebuilds). The serving crate's brute-force
+//!   iteration. Every backend validates vectors through the one
+//!   [`check_vector`]. The serving crate's brute-force
 //!   `EmbeddingStore` implements it as the *exactness reference*; the
 //!   [`hnsw::Hnsw`] index implements it as the *scaling path*.
 //! - [`store::VectorStore`] — an arena-backed, row-major vector arena with
@@ -47,6 +48,8 @@ pub struct Neighbor {
 pub enum AnnError {
     /// The vector's length does not match the index dimension.
     DimensionMismatch { expected: usize, got: usize },
+    /// Component `index` of the vector is NaN or infinite.
+    NonFinite { index: usize },
 }
 
 impl std::fmt::Display for AnnError {
@@ -55,11 +58,25 @@ impl std::fmt::Display for AnnError {
             Self::DimensionMismatch { expected, got } => {
                 write!(f, "vector dimension mismatch: index holds {expected}, got {got}")
             }
+            Self::NonFinite { index } => write!(f, "vector component {index} is not finite"),
         }
     }
 }
 
 impl std::error::Error for AnnError {}
+
+/// The one check every index runs on an inserted or queried vector: its
+/// length must be `dim`, then every component must be finite. A NaN or
+/// infinite component would poison every distance it enters.
+pub fn check_vector(dim: usize, v: &[f32]) -> Result<(), AnnError> {
+    if v.len() != dim {
+        return Err(AnnError::DimensionMismatch { expected: dim, got: v.len() });
+    }
+    match v.iter().position(|x| !x.is_finite()) {
+        Some(index) => Err(AnnError::NonFinite { index }),
+        None => Ok(()),
+    }
+}
 
 /// The capability contract of a kNN backend.
 ///
@@ -91,15 +108,8 @@ pub trait VectorIndex: Send + Sync {
     fn get(&self, id: u64) -> Option<Vec<f32>>;
 
     /// Visit every live `(id, vector)` pair, in unspecified order — the
-    /// rebuild path when the service swaps one index kind for another.
+    /// full-scan oracle the brute-force store's selection proptest ranks.
     fn for_each(&self, f: &mut dyn FnMut(u64, &[f32]));
-
-    /// Approximate resident bytes of the index's vector payload (and graph,
-    /// where one exists) — what the serving tier reports when comparing
-    /// precision configurations.
-    fn memory_bytes(&self) -> usize {
-        0
-    }
 }
 
 /// Heap key ordered by `(distance, id)` under `total_cmp`, so a max-heap's
@@ -200,6 +210,18 @@ mod tests {
                 top.push(id, d);
             }
             assert_eq!(top.into_sorted(), full_sort(cands.clone(), k), "k={k}");
+        }
+    }
+
+    #[test]
+    fn check_vector_tests_the_dimension_then_every_component() {
+        assert_eq!(check_vector(2, &[1.0, -0.5]), Ok(()));
+        assert_eq!(
+            check_vector(2, &[f32::NAN]),
+            Err(AnnError::DimensionMismatch { expected: 2, got: 1 })
+        );
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert_eq!(check_vector(3, &[0.0, 1.0, bad]), Err(AnnError::NonFinite { index: 2 }));
         }
     }
 

@@ -12,11 +12,11 @@
 //!    Transformer whose attention carries the adaptive time-interval bias
 //!    of [`interval::IntervalModule`] (Eqs. 6-11), pooled through `[CLS]`.
 //!
-//! Training is self-supervised ([`pretrain`]): span-masked trajectory
-//! recovery (Eqs. 12-13) plus NT-Xent trajectory contrastive learning
-//! (Eq. 14) over augmented views, combined by Eq. 15. Downstream adaptation
-//! ([`downstream`]) covers travel time estimation (Eq. 16), trajectory
-//! classification (Eq. 17), and zero-shot similarity search.
+//! Training is self-supervised ([`pretrain`](mod@pretrain)): span-masked
+//! trajectory recovery (Eqs. 12-13) plus NT-Xent trajectory contrastive
+//! learning (Eq. 14) over augmented views, combined by Eq. 15. Downstream
+//! adaptation ([`downstream`]) covers travel time estimation (Eq. 16),
+//! trajectory classification (Eq. 17), and zero-shot similarity search.
 //!
 //! Every ablation of the paper's Fig. 7 is a switch on
 //! [`config::StartConfig`].

@@ -1,6 +1,6 @@
 //! Trajectory contrastive learning (§III-C2, Eq. 14).
 //!
-//! NT-Xent with in-batch negatives, following SimCLR [15]: `N_b` anchor
+//! NT-Xent with in-batch negatives, following SimCLR \[15\]: `N_b` anchor
 //! trajectories yield `2 N_b` augmented views; each view must identify its
 //! partner among the other `2(N_b - 1)` views via temperature-scaled cosine
 //! similarity.

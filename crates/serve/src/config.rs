@@ -1,5 +1,5 @@
 //! Serving-tier configuration: [`ServeConfig`] (each replica of a
-//! [`Router`]) and [`RouterConfig`] (the replica count plus that
+//! [`Router`], plus the router's one kNN index) and [`RouterConfig`] (the replica count plus that
 //! per-replica tuning), each with the same `builder()` +
 //! typed-validation-error treatment `StartConfig` has — the only
 //! construction path the workspace lint accepts outside this file (rule 5
@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use start_ann::{HnswConfig, HnswConfigError, Precision};
 
-/// Which kNN backend the service builds behind its `index`/`knn`
+/// Which kNN backend the router builds behind its `index`/`knn`
 /// endpoints. Swapping kinds changes latency/recall economics only — the
 /// endpoint API and the deterministic tie-break stay identical.
 #[derive(Debug, Clone, Default)]
@@ -26,7 +26,8 @@ pub enum IndexKind {
     Hnsw(HnswConfig),
 }
 
-/// Tunables for each replica of a [`crate::router::Router`].
+/// Tunables for each replica of a [`crate::router::Router`]; `index` and
+/// `precision` configure the router's one kNN index.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Encode worker threads (minimum 1).
@@ -41,18 +42,17 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Total entries across the shared embedding cache; 0 disables caching.
     pub cache_capacity: usize,
-    /// Cache shard count (rounded up to a power of two).
-    pub cache_shards: usize,
     /// Clamp over-length trajectories to the model's `max_len` (the
     /// offline default). When false, over-length submissions are rejected
     /// with a typed error instead.
     pub clamp: bool,
-    /// kNN backend behind `index`/`knn` (brute force by default).
+    /// Backend of the router's one kNN index behind `index`/`knn` (brute
+    /// force by default). Not per replica: a router holds one index.
     pub index: IndexKind,
-    /// Storage precision for brute-force indexed embeddings — the serving
-    /// tier's reduced-precision path ([`Precision::F16`] halves resident
-    /// bytes, [`Precision::I8`] cuts them ~4×, both at near-exact recall).
-    /// HNSW backends carry their own [`HnswConfig::precision`].
+    /// Storage precision of the router's one index when it is brute force
+    /// — the serving tier's reduced-precision path ([`Precision::F16`]
+    /// halves resident bytes, [`Precision::I8`] cuts them ~4×, both at
+    /// near-exact recall). HNSW backends carry their own [`HnswConfig::precision`].
     pub precision: Precision,
     /// Test hook: stall each worker this long before it starts draining,
     /// making queue-full conditions deterministic.
@@ -68,7 +68,6 @@ impl Default for ServeConfig {
             max_wait: Duration::from_millis(2),
             queue_cap: 256,
             cache_capacity: 4096,
-            cache_shards: 8,
             clamp: true,
             index: IndexKind::default(),
             precision: Precision::F32,
@@ -169,11 +168,6 @@ impl ServeConfigBuilder {
 
     pub fn cache_capacity(mut self, cache_capacity: usize) -> Self {
         self.cfg.cache_capacity = cache_capacity;
-        self
-    }
-
-    pub fn cache_shards(mut self, cache_shards: usize) -> Self {
-        self.cfg.cache_shards = cache_shards;
         self
     }
 

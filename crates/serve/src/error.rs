@@ -28,6 +28,12 @@ pub enum ServeError {
         /// The dimension the request carried.
         got: usize,
     },
+    /// Component `index` of an `index`/`knn` vector is NaN or infinite.
+    /// The request is refused; the index stays unchanged.
+    NonFinite {
+        /// The first non-finite component.
+        index: usize,
+    },
     /// An encode worker panicked while this request was in flight.
     WorkerPanicked {
         /// The panic payload, if it was a string.
@@ -52,6 +58,7 @@ impl std::fmt::Display for ServeError {
             Self::DimensionMismatch { expected, got } => {
                 write!(f, "vector dimension mismatch: index holds {expected}, got {got}")
             }
+            Self::NonFinite { index } => write!(f, "vector component {index} is not finite"),
             Self::WorkerPanicked { message } => {
                 write!(f, "encode worker panicked: {message}")
             }
@@ -77,6 +84,7 @@ impl From<AnnError> for ServeError {
             AnnError::DimensionMismatch { expected, got } => {
                 Self::DimensionMismatch { expected, got }
             }
+            AnnError::NonFinite { index } => Self::NonFinite { index },
         }
     }
 }

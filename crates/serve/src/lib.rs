@@ -7,13 +7,14 @@
 //! trajectory → same replica, across restarts), behind one
 //! `submit`/`knn`/`index`/`publish`/`stats` surface. Each replica is a
 //! bounded submission queue, encode workers that micro-batch requests
-//! (flush on `max_batch` or `max_wait`), a sharded LRU
+//! (flush on `max_batch` or `max_wait`) and a sharded LRU
 //! [`EmbeddingCache`](start_core::encoder::EmbeddingCache) pinned to the
-//! current model-version epoch, and a kNN index shard behind the
-//! [`VectorIndex`] seam — the exact brute-force [`EmbeddingStore`] by
-//! default, the approximate [`Hnsw`] graph via [`ServeConfig::index`] —
-//! all answering through typed handles with a typed [`ServeError`]
-//! surface.
+//! current model-version epoch. The router itself owns the one kNN index
+//! behind the [`VectorIndex`] seam — the exact brute-force
+//! [`EmbeddingStore`] by default, the approximate [`Hnsw`] graph via
+//! [`ServeConfig::index`] — so a kNN answer does not depend on the
+//! replica count. Everything answers through typed handles with a typed
+//! [`ServeError`] surface.
 //!
 //! Checkpoints hot-swap without downtime: [`Router::publish`]
 //! double-buffers the model behind the one versioned slot every replica

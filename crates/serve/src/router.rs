@@ -1,7 +1,7 @@
 //! [`Router`]: the serving front-end — N private replicas (a queue, its
-//! encode workers, one kNN index shard and its counters each) behind one
+//! encode workers and its counters each) behind one
 //! `submit`/`knn`/`index`/`publish`/`stats` surface, all reading one
-//! versioned model slot.
+//! versioned model slot and all indexing into one kNN index.
 //!
 //! ## Fingerprint partitioning
 //!
@@ -20,9 +20,13 @@
 //! covers the view as submitted; config-dependent clamping happens later,
 //! inside the replica, and does not influence placement.)
 //!
-//! kNN placement uses `id % replicas` for inserts; queries scatter to
-//! every replica and merge through [`TopK`], which reproduces the
-//! one-replica `(distance, id)` tie-break bit for bit.
+//! ## One kNN index
+//!
+//! The router owns the one kNN index (`cfg.serve.index` at
+//! `cfg.serve.precision`) and the version tag of every entry, behind one
+//! `RwLock`. Replicas only encode: an insert or a query takes the one lock
+//! and touches the one index, so a kNN answer is the same bits whatever
+//! the replica count — exact or HNSW alike.
 //!
 //! ## Hot swap
 //!
@@ -36,20 +40,21 @@
 //!
 //! [`EmbeddingCache`]: start_core::EmbeddingCache
 
+use std::collections::HashMap;
 use std::thread::JoinHandle;
 
 use start_core::encoder::fingerprint_view;
 use start_core::{Embedding, StartModel};
-use start_sync::{Arc, PoisonError, RwLock};
+use start_sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use start_traj::{TrajView, Trajectory};
 
-use start_ann::TopK;
+use start_ann::{AnnError, Hnsw, VectorIndex};
 
-use crate::config::RouterConfig;
+use crate::config::{IndexKind, RouterConfig};
 use crate::error::ServeError;
 use crate::service::{read_slot, EmbeddingHandle, EmbeddingService, ModelSlot};
 use crate::stats::ServiceStats;
-use crate::store::Neighbor;
+use crate::store::{EmbeddingStore, Neighbor};
 
 /// Fold a 128-bit fingerprint into the 64-bit value replica selection
 /// reduces mod the replica count: the halves are xor-combined and pushed
@@ -79,9 +84,18 @@ pub fn fold_fingerprint(fp: start_core::Fingerprint) -> u64 {
 /// A sharded, hot-reloadable serving tier. See the module docs.
 pub struct Router {
     slot: Arc<RwLock<ModelSlot>>,
+    index: RwLock<IndexState>,
     replicas: Vec<Arc<EmbeddingService>>,
     /// Every replica's encode workers, joined on shutdown or drop.
     workers: Vec<JoinHandle<()>>,
+}
+
+/// What the kNN paths guard together: the router's one index plus the
+/// model version each id's vector was produced by (the hot-swap
+/// staleness tags).
+struct IndexState {
+    index: Box<dyn VectorIndex>,
+    versions: HashMap<u64, u64>,
 }
 
 /// Receipt of one [`Router::publish`].
@@ -102,6 +116,10 @@ pub struct RouterStats {
     /// The model version serving every replica (0 until the first
     /// publish).
     pub model_version: u64,
+    /// kNN entries indexed under a model version other than
+    /// `model_version` — the re-indexing backlog left behind by
+    /// checkpoint hot-swaps.
+    pub stale_index_entries: usize,
     /// One [`ServiceStats`] per replica, in shard order.
     pub replicas: Vec<ServiceStats>,
 }
@@ -123,10 +141,6 @@ impl RouterStats {
         self.replicas.iter().map(|s| s.failed).sum()
     }
 
-    pub fn stale_index_entries(&self) -> usize {
-        self.replicas.iter().map(|s| s.stale_index_entries).sum()
-    }
-
     /// Aggregate cache hit rate: total hits over total lookups across all
     /// replica caches, `0.0` when nothing was looked up.
     pub fn cache_hit_rate(&self) -> f64 {
@@ -142,11 +156,20 @@ impl RouterStats {
 
 impl Router {
     /// Spawn `cfg.replicas` replicas over one model slot holding `model`
-    /// as version 0, and return the running router. Defensive: a zero
-    /// replica or worker count is normalized to 1 — build configs through
-    /// [`RouterConfig::builder`] for typed validation instead.
+    /// as version 0 and one empty kNN index, and return the running
+    /// router. Defensive: a zero replica or worker count is normalized to
+    /// 1 — build configs through [`RouterConfig::builder`] for typed
+    /// validation instead.
     pub fn start(model: Arc<StartModel>, cfg: RouterConfig) -> Self {
         let n = cfg.replicas.max(1);
+        let dim = model.cfg.dim;
+        let index: Box<dyn VectorIndex> = match &cfg.serve.index {
+            IndexKind::BruteForce => {
+                Box::new(EmbeddingStore::with_precision(dim, cfg.serve.precision))
+            }
+            IndexKind::Hnsw(hnsw) => Box::new(Hnsw::new(dim, hnsw.clone())),
+        };
+        let index = RwLock::new(IndexState { index, versions: HashMap::new() });
         let slot = Arc::new(RwLock::new(ModelSlot::new(0, model, &cfg.serve, n)));
         let mut workers = Vec::new();
         let replicas = (0..n)
@@ -157,7 +180,7 @@ impl Router {
                 replica
             })
             .collect();
-        Self { slot, replicas, workers }
+        Self { slot, index, replicas, workers }
     }
 
     /// Number of replicas behind this router.
@@ -215,7 +238,7 @@ impl Router {
     /// on the old weights and are **drained** — `publish` returns only
     /// after every old-version reply has been sent. The kNN index is
     /// untouched; entries of prior versions are reported as
-    /// [`ServiceStats::stale_index_entries`].
+    /// [`RouterStats::stale_index_entries`].
     ///
     /// A model whose dimension differs from the serving one (and so from
     /// the index) is refused with [`ServeError::DimensionMismatch`] before
@@ -249,10 +272,9 @@ impl Router {
         read_slot(&self.slot).version
     }
 
-    /// Encode `trajectory` and index the embedding under `id` for
-    /// [`Router::knn`] queries, tagged with the version that produced it.
-    /// The *encode* routes by trajectory fingerprint; the *index entry*
-    /// lives on replica `id % replicas`. Re-indexing an id overwrites it.
+    /// Encode `trajectory` on its shard and index the embedding under `id`
+    /// for [`Router::knn`] queries, tagged with the version that produced
+    /// it. Re-indexing an id overwrites it.
     pub fn index(&self, id: u64, trajectory: &Trajectory) -> Result<(), ServeError> {
         let (emb, version) = self.submit(trajectory)?.wait_versioned()?;
         self.insert(id, &emb, version)
@@ -260,69 +282,64 @@ impl Router {
 
     /// Index a pre-computed embedding under `id` — the bulk-load path when
     /// embeddings come from an offline encode of the serving model. A
-    /// wrong-dimension vector is refused with
-    /// [`ServeError::DimensionMismatch`]; the index stays fully usable.
+    /// wrong-dimension or non-finite vector is refused with
+    /// [`ServeError::DimensionMismatch`] or [`ServeError::NonFinite`]; the
+    /// index stays unchanged.
     pub fn index_embedding(&self, id: u64, embedding: &[f32]) -> Result<(), ServeError> {
         self.insert(id, embedding, self.model_version())
     }
 
     fn insert(&self, id: u64, embedding: &[f32], version: u64) -> Result<(), ServeError> {
-        let replica = self.index_home(id);
-        let mut store = replica.store_write();
-        match store.index.insert(id, embedding) {
-            Ok(()) => {
-                store.versions.insert(id, version);
-                Ok(())
-            }
-            Err(e) => {
-                replica.reject();
-                Err(e.into())
-            }
-        }
+        let mut state = self.write_index();
+        state.index.insert(id, embedding).map_err(|e| self.refuse(e))?;
+        state.versions.insert(id, version);
+        Ok(())
     }
 
-    /// The replica that holds `id`'s index entry.
-    fn index_home(&self, id: u64) -> &EmbeddingService {
-        &self.replicas[(id % self.replicas.len() as u64) as usize]
+    /// Count a refused index or kNN vector like any refused request, on
+    /// the first replica.
+    fn refuse(&self, e: AnnError) -> ServeError {
+        self.replicas[0].reject();
+        e.into()
+    }
+
+    /// The one index, read-locked. Poison rides through: every index
+    /// validates a vector before it mutates anything.
+    fn read_index(&self) -> RwLockReadGuard<'_, IndexState> {
+        self.index.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The one index, write-locked.
+    fn write_index(&self) -> RwLockWriteGuard<'_, IndexState> {
+        self.index.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Encode the query on its shard, then return its `k` nearest indexed
-    /// neighbours across **all** replicas, closest first — bitwise the
-    /// one-replica answer, including the `(distance, id)` tie-break.
+    /// neighbours, closest first, ties broken toward the smaller id.
     pub fn knn(&self, query: &Trajectory, k: usize) -> Result<Vec<Neighbor>, ServeError> {
         let emb = self.submit(query)?.wait()?;
         self.knn_embedding(&emb, k)
     }
 
-    /// kNN over a pre-computed query embedding: scatter to every replica,
-    /// merge with the shared [`TopK`] ordering. A wrong-dimension query is
-    /// refused with [`ServeError::DimensionMismatch`], never a panic.
+    /// kNN over a pre-computed query embedding: one read lock, one search
+    /// of the one index. A wrong-dimension or non-finite query is refused
+    /// with a typed [`ServeError`], never a panic.
     pub fn knn_embedding(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>, ServeError> {
-        let mut top = TopK::new(k);
-        for replica in &self.replicas {
-            let hits = replica.store_read().index.knn(query, k);
-            for n in hits.inspect_err(|_| replica.reject())? {
-                top.push(n.id, n.distance);
-            }
-        }
-        Ok(top.into_sorted())
+        self.read_index().index.knn(query, k).map_err(|e| self.refuse(e))
     }
 
     /// Drop `id` from the kNN index; returns whether it was indexed.
     /// (HNSW backends tombstone: the id is never returned again, the graph
     /// node keeps routing.)
     pub fn remove_index(&self, id: u64) -> bool {
-        let mut store = self.index_home(id).store_write();
-        let removed = store.index.remove(id);
-        if removed {
-            store.versions.remove(&id);
-        }
-        removed
+        let mut state = self.write_index();
+        state.versions.remove(&id);
+        state.index.remove(id)
     }
 
-    /// Total embeddings indexed for kNN across all replicas.
+    /// Total embeddings indexed for kNN.
     pub fn indexed_len(&self) -> usize {
-        self.replicas.iter().map(|r| r.store_read().index.len()).sum()
+        self.read_index().index.len()
     }
 
     /// Ids whose indexed embedding was produced by a model version other
@@ -330,19 +347,21 @@ impl Router {
     /// [`Router::publish`]. Sorted for determinism.
     pub fn stale_indexed_ids(&self) -> Vec<u64> {
         let current = self.model_version();
-        let mut ids = Vec::new();
-        for replica in &self.replicas {
-            let store = replica.store_read();
-            ids.extend(store.versions.iter().filter(|&(_, &v)| v != current).map(|(&id, _)| id));
-        }
+        let state = self.read_index();
+        let mut ids: Vec<u64> =
+            state.versions.iter().filter(|&(_, &v)| v != current).map(|(&id, _)| id).collect();
         ids.sort_unstable();
         ids
     }
 
     /// Per-replica + aggregate counter snapshot.
     pub fn stats(&self) -> RouterStats {
+        let model_version = self.model_version();
+        let stale_index_entries =
+            self.read_index().versions.values().filter(|&&v| v != model_version).count();
         RouterStats {
-            model_version: self.model_version(),
+            model_version,
+            stale_index_entries,
             replicas: self.replicas.iter().map(|r| r.stats()).collect(),
         }
     }

@@ -1,5 +1,6 @@
 //! The router's private replica: a bounded micro-batching queue, its pool
-//! of encode workers, one kNN index shard and its counters.
+//! of encode workers and its counters. The kNN index is the router's, not
+//! a replica's.
 //!
 //! Requests enter through the router's `submit` (blocking backpressure)
 //! or `try_submit` (fail-fast `QueueFull`). A worker that finds work open
@@ -33,37 +34,29 @@
 //!   insert into the retiring instance. Stale bits are unreachable from
 //!   the new version.
 //!
-//! kNN entries carry the model version that produced their vector;
-//! [`ServiceStats::stale_index_entries`] counts entries whose version no
-//! longer matches the slot's.
-//!
 //! Workers never leak panics: a panic inside the model is caught at the
 //! batch boundary, the in-flight batch is answered with
 //! [`ServeError::WorkerPanicked`], the replica is poisoned, and queued +
 //! future requests get [`ServeError::ModelPoisoned`]. `resume_unwind` stays
 //! internal to the encoder's own thread scope.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
 
 use start_sync::atomic::{AtomicU64, Ordering};
-use start_sync::{
-    mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use start_sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 
 use std::time::{Duration, Instant};
 
-use start_ann::{Hnsw, VectorIndex};
 use start_core::encoder::{EmbeddingCache, EncodeError, EncodeOptions};
 use start_core::{CacheStats, Embedding, StartModel};
 use start_nn::BufferPool;
 use start_traj::TrajView;
 
-use crate::config::{IndexKind, ServeConfig};
+use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::stats::{Histogram, ServiceStats};
-use crate::store::EmbeddingStore;
 
 /// One queued unit of work: the view to encode and the channel that will
 /// carry exactly one version-tagged answer back to the submitting caller.
@@ -159,11 +152,8 @@ impl ModelSlot {
     ) -> Self {
         let cache = || {
             (cfg.cache_capacity > 0).then(|| {
-                Arc::new(EmbeddingCache::with_shards_at_epoch(
-                    cfg.cache_capacity,
-                    cfg.cache_shards,
-                    version,
-                ))
+                // 8 shards, as `EmbeddingCache::new` uses.
+                Arc::new(EmbeddingCache::with_shards_at_epoch(cfg.cache_capacity, 8, version))
             })
         };
         Self {
@@ -180,14 +170,6 @@ impl ModelSlot {
 /// always see one coherent version.
 pub(crate) fn read_slot(slot: &RwLock<ModelSlot>) -> RwLockReadGuard<'_, ModelSlot> {
     slot.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// What the kNN paths guard together: the index shard itself plus the
-/// model version each id's vector was produced by (the hot-swap
-/// staleness tags).
-pub(crate) struct IndexState {
-    pub(crate) index: Box<dyn VectorIndex>,
-    pub(crate) versions: HashMap<u64, u64>,
 }
 
 /// The ticket for one submitted request.
@@ -219,8 +201,8 @@ impl EmbeddingHandle {
     }
 }
 
-/// One replica: a bounded queue, an index shard and the counters, shared
-/// by the router and the replica's encode workers.
+/// One replica: a bounded queue and the counters, shared by the router and
+/// the replica's encode workers.
 pub(crate) struct EmbeddingService {
     state: Mutex<QueueState>,
     not_empty: Condvar,
@@ -229,7 +211,6 @@ pub(crate) struct EmbeddingService {
     slot: Arc<RwLock<ModelSlot>>,
     /// This replica's shard number — the index of its cache in every slot.
     shard: usize,
-    store: RwLock<IndexState>,
     submitted: AtomicU64,
     completed: AtomicU64,
     rejected: AtomicU64,
@@ -247,11 +228,6 @@ impl EmbeddingService {
         shard: usize,
         cfg: ServeConfig,
     ) -> (Arc<Self>, Vec<JoinHandle<()>>) {
-        let dim = read_slot(&slot).model.cfg.dim;
-        let index: Box<dyn VectorIndex> = match &cfg.index {
-            IndexKind::BruteForce => Box::new(EmbeddingStore::with_precision(dim, cfg.precision)),
-            IndexKind::Hnsw(hnsw_cfg) => Box::new(Hnsw::new(dim, hnsw_cfg.clone())),
-        };
         let workers = cfg.workers.max(1);
         let replica = Arc::new(Self {
             state: Mutex::new(QueueState {
@@ -264,7 +240,6 @@ impl EmbeddingService {
             cfg,
             slot,
             shard,
-            store: RwLock::new(IndexState { index, versions: HashMap::new() }),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -292,16 +267,6 @@ impl EmbeddingService {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// This replica's index shard, read-locked.
-    pub(crate) fn store_read(&self) -> RwLockReadGuard<'_, IndexState> {
-        self.store.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// This replica's index shard, write-locked.
-    pub(crate) fn store_write(&self) -> RwLockWriteGuard<'_, IndexState> {
-        self.store.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Count one request refused at the door.
     pub(crate) fn reject(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed); // relaxed-ok: standalone reject tally
@@ -320,20 +285,15 @@ impl EmbeddingService {
         let completed = self.completed.load(Ordering::Acquire);
         let failed = self.failed.load(Ordering::Acquire);
         let submitted = self.submitted.load(Ordering::Acquire);
-        let (model_version, cache) = {
+        let cache = {
             let slot = read_slot(&self.slot);
-            let cache = slot.caches[self.shard].as_ref().map(|c| c.stats()).unwrap_or(CacheStats {
+            slot.caches[self.shard].as_ref().map(|c| c.stats()).unwrap_or(CacheStats {
                 hits: 0,
                 misses: 0,
                 entries: 0,
                 capacity: 0,
                 epoch: slot.version,
-            });
-            (slot.version, cache)
-        };
-        let stale_index_entries = {
-            let store = self.store_read();
-            store.versions.values().filter(|&&v| v != model_version).count()
+            })
         };
         ServiceStats {
             submitted,
@@ -345,7 +305,6 @@ impl EmbeddingService {
             queue_wait: self.queue_wait.snapshot(),
             encode: self.encode.snapshot(),
             cache,
-            stale_index_entries,
         }
     }
 
@@ -493,7 +452,7 @@ fn log_stats_line(replica: &EmbeddingService) {
     eprintln!(
         "[start-serve] v{} submitted={} completed={} failed={} rejected={} batches={} \
          mean_batch={:.1} depth={} wait_p50_us={} wait_p99_us={} enc_p50_us={} enc_p99_us={} \
-         cache_hit_rate={:.3} stale_index={}",
+         cache_hit_rate={:.3}",
         s.cache.epoch,
         s.submitted,
         s.completed,
@@ -507,7 +466,6 @@ fn log_stats_line(replica: &EmbeddingService) {
         s.encode.p50_us,
         s.encode.p99_us,
         s.cache.hit_rate(),
-        s.stale_index_entries,
     );
 }
 

@@ -136,9 +136,6 @@ pub struct ServiceStats {
     /// model version's** cache instance; a hot-swap starts these from zero
     /// (`cache.epoch` names the version they describe).
     pub cache: CacheStats,
-    /// kNN entries indexed under a model version other than the current
-    /// one — the re-indexing backlog left behind by checkpoint hot-swaps.
-    pub stale_index_entries: usize,
 }
 
 impl ServiceStats {

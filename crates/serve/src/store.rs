@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use start_ann::{AnnError, Precision, TopK, VectorIndex, VectorStore};
+use start_ann::{check_vector, AnnError, Precision, TopK, VectorIndex, VectorStore};
 
 pub use start_ann::Neighbor;
 
@@ -70,20 +70,12 @@ impl EmbeddingStore {
         self.store.data_bytes() + self.ids.len() * 8 + self.rows.len() * 16
     }
 
-    fn check_dim(&self, got: usize) -> Result<(), AnnError> {
-        if got == self.store.dim() {
-            Ok(())
-        } else {
-            Err(AnnError::DimensionMismatch { expected: self.store.dim(), got })
-        }
-    }
-
     /// Insert or overwrite the embedding for `id`.
     ///
-    /// A wrong-length vector is refused with
-    /// [`AnnError::DimensionMismatch`]; the store is unchanged.
+    /// A wrong-length or non-finite vector is refused by
+    /// [`check_vector`]; the store is unchanged.
     pub fn insert(&mut self, id: u64, emb: &[f32]) -> Result<(), AnnError> {
-        self.check_dim(emb.len())?;
+        check_vector(self.store.dim(), emb)?;
         match self.rows.get(&id) {
             Some(&row) => self.store.overwrite(row as u32, emb),
             None => {
@@ -129,10 +121,10 @@ impl EmbeddingStore {
     /// The `k` nearest stored embeddings to `query`, closest first; ties
     /// break toward the smaller id so results are deterministic.
     ///
-    /// A wrong-length query is refused with
-    /// [`AnnError::DimensionMismatch`] instead of panicking mid-service.
+    /// A wrong-length or non-finite query is refused by [`check_vector`]
+    /// instead of panicking mid-service or ranking by NaN.
     pub fn knn(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>, AnnError> {
-        self.check_dim(query.len())?;
+        check_vector(self.store.dim(), query)?;
         let mut top = TopK::new(k);
         for (row, &id) in self.ids.iter().enumerate() {
             top.push(id, self.store.dist2(row as u32, query).sqrt());
@@ -172,10 +164,6 @@ impl VectorIndex for EmbeddingStore {
             self.store.copy_row(r as u32, &mut row);
             f(id, &row);
         }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        EmbeddingStore::memory_bytes(self)
     }
 }
 
@@ -241,6 +229,27 @@ mod tests {
         store.insert(1, &[1.0, 2.0, 3.0]).unwrap();
         let hits = store.knn(&[1.0, 2.0, 3.0], 1).unwrap();
         assert_eq!(hits[0].id, 1);
+    }
+
+    /// Both index kinds refuse NaN and infinite vectors on insert and on
+    /// query, and a refused insert leaves the index as it was.
+    #[test]
+    fn both_index_kinds_refuse_non_finite_vectors() {
+        let kinds: [Box<dyn VectorIndex>; 2] = [
+            Box::new(EmbeddingStore::new(4)),
+            Box::new(start_ann::Hnsw::new(4, Default::default())),
+        ];
+        for mut index in kinds {
+            index.insert(1, &[1.0, 0.0, 0.0, 0.0]).unwrap();
+            for bad in [f32::NAN, f32::INFINITY] {
+                let v = [bad, 0.0, 0.0, 0.0];
+                assert_eq!(index.insert(2, &v), Err(AnnError::NonFinite { index: 0 }));
+                assert_eq!(index.insert(1, &v), Err(AnnError::NonFinite { index: 0 }));
+                assert_eq!(index.knn(&v, 3), Err(AnnError::NonFinite { index: 0 }));
+            }
+            assert_eq!(index.len(), 1);
+            assert_eq!(index.get(1), Some(vec![1.0, 0.0, 0.0, 0.0]));
+        }
     }
 
     #[test]

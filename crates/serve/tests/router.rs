@@ -1,6 +1,7 @@
 //! End-to-end tests of the sharded `Router`: fingerprint shard purity, the
 //! bitwise contract against the offline encoder for any replica count,
-//! scatter-gather kNN agreement with a 1-replica router, checkpoint
+//! kNN answers independent of the replica count (exact and HNSW alike),
+//! typed refusal of non-finite vectors, checkpoint
 //! hot-swap (version-tagged replies, atomic refusal, stale-index tagging,
 //! index entries tagged with the version that produced them), and the live
 //! trainer-to-router publish flow.
@@ -14,7 +15,9 @@ use start_core::encoder::{fingerprint_view, EncodeOptions};
 use start_core::{pretrain_with_publish, PretrainConfig, StartConfig, StartModel};
 use start_nn::PublishCadence;
 use start_roadnet::synth::{generate_city, City, CityConfig};
-use start_serve::{Router, RouterConfig, ServeConfig, ServeError};
+use start_serve::{
+    Hnsw, HnswConfig, IndexKind, Router, RouterConfig, ServeConfig, ServeError, VectorIndex,
+};
 use start_traj::{PreprocessConfig, SimConfig, Simulator, TrajDataset, TrajView, Trajectory};
 
 struct Fixture {
@@ -109,9 +112,10 @@ fn router_encode_is_bitwise_the_encoder_answer_for_any_replica_count() {
     }
 }
 
-/// Scatter-gather kNN over N replicas reproduces the 1-replica answer
-/// exactly: same ids, same order, same distance bits — including the
-/// `(distance, id)` tie-break.
+/// kNN through a 3-replica router reproduces the 1-replica answer exactly:
+/// the embeddings are encoded on different shards but land in the one
+/// router index, so ids, order and distance bits all match — including
+/// the `(distance, id)` tie-break.
 #[test]
 fn router_knn_matches_the_single_service_bitwise() {
     let fix = fixture();
@@ -139,6 +143,88 @@ fn router_knn_matches_the_single_service_bitwise() {
     }
     let _ = single.shutdown();
     let _ = router.shutdown();
+}
+
+/// An HNSW-backed router answers kNN bitwise as a lone `Hnsw` fed the same
+/// inserts, at 1 and at 3 replicas: the replica count does not reach the
+/// index. A tiny beam (`ef_search` 4) makes any change to the graph or
+/// to the search visible in the answers.
+#[test]
+fn router_hnsw_knn_is_bitwise_a_lone_hnsw_for_any_replica_count() {
+    let fix = fixture();
+    let dim = fix.model.cfg.dim;
+    let hnsw = HnswConfig::builder().m(4).ef_construction(8).ef_search(4).build().unwrap();
+    let mut state = 0x5eed_u64;
+    let mut vector = || -> Vec<f32> {
+        (0..dim)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5
+            })
+            .collect()
+    };
+    let inserts: Vec<Vec<f32>> = (0..600).map(|_| vector()).collect();
+    let queries: Vec<Vec<f32>> = (0..100).map(|_| vector()).collect();
+    let mut lone = Hnsw::new(dim, hnsw.clone());
+    for (id, v) in inserts.iter().enumerate() {
+        lone.insert(id as u64, v).unwrap();
+    }
+    for replicas in [1, 3] {
+        let serve = ServeConfig::builder().workers(1).index(IndexKind::Hnsw(hnsw.clone()));
+        let router =
+            Router::start(Arc::clone(&fix.model), router_config(replicas, serve.build().unwrap()));
+        for (id, v) in inserts.iter().enumerate() {
+            router.index_embedding(id as u64, v).unwrap();
+        }
+        for (i, q) in queries.iter().enumerate() {
+            let expected = lone.knn(q, 4).unwrap();
+            let got = router.knn_embedding(q, 4).unwrap();
+            assert_eq!(got.len(), expected.len(), "replicas={replicas} query {i}");
+            for (g, e) in got.iter().zip(&expected) {
+                assert_eq!(g.id, e.id, "replicas={replicas} query {i}: ids diverged");
+                assert_eq!(
+                    g.distance.to_bits(),
+                    e.distance.to_bits(),
+                    "replicas={replicas} query {i}: distance bits diverged"
+                );
+            }
+        }
+        let _ = router.shutdown();
+    }
+}
+
+/// A NaN or infinite vector is refused with a typed error on both the
+/// index and the kNN path, for both index kinds: the index keeps its
+/// size and each refusal counts one rejection.
+#[test]
+fn non_finite_vectors_are_refused_with_a_typed_error() {
+    let fix = fixture();
+    let dim = fix.model.cfg.dim;
+    for kind in [IndexKind::BruteForce, IndexKind::Hnsw(HnswConfig::default())] {
+        let serve = ServeConfig::builder().workers(1).index(kind.clone()).build().unwrap();
+        let router = Router::start(Arc::clone(&fix.model), router_config(3, serve));
+        router.index_embedding(0, &vec![0.5; dim]).unwrap();
+        for bad in [f32::NAN, f32::INFINITY] {
+            let mut v = vec![0.0f32; dim];
+            v[1] = bad;
+            let before = router.stats().rejected();
+            assert_eq!(
+                router.index_embedding(1, &v),
+                Err(ServeError::NonFinite { index: 1 }),
+                "{kind:?}"
+            );
+            assert_eq!(router.indexed_len(), 1, "{kind:?}: a refused insert changed the index");
+            assert_eq!(router.stats().rejected(), before + 1, "{kind:?}");
+            assert_eq!(
+                router.knn_embedding(&v, 3),
+                Err(ServeError::NonFinite { index: 1 }),
+                "{kind:?}"
+            );
+            assert_eq!(router.stats().rejected(), before + 2, "{kind:?}");
+        }
+        assert_eq!(router.knn_embedding(&vec![0.5; dim], 3).unwrap()[0].id, 0, "{kind:?}");
+        let _ = router.shutdown();
+    }
 }
 
 /// `Router::publish` with queued (not yet in-flight) requests: nothing is
@@ -209,11 +295,11 @@ fn hot_swap_tags_stale_index_entries_until_reindexed() {
     for (i, t) in fix.data.iter().take(10).enumerate() {
         router.index(i as u64, t).unwrap();
     }
-    assert_eq!(router.stats().stale_index_entries(), 0);
+    assert_eq!(router.stats().stale_index_entries, 0);
 
     let next = Arc::new(StartModel::new(StartConfig::test_scale(), &fix.city.net, None, None, 46));
     router.publish(next).unwrap();
-    assert_eq!(router.stats().stale_index_entries(), 10);
+    assert_eq!(router.stats().stale_index_entries, 10);
     assert_eq!(router.stale_indexed_ids(), (0..10).collect::<Vec<u64>>());
 
     // Re-indexing under the new version clears the tag; removal drops it.
