@@ -3,7 +3,10 @@
 //! Vertices are *road segments*; a directed edge `(v_i, v_j)` means a vehicle
 //! can continue from segment `v_i` onto segment `v_j` at the shared
 //! intersection. Geometry (segment endpoints) is kept for map matching and
-//! for the synthetic GPS simulator.
+//! for the synthetic GPS simulator, with a uniform grid of segment ids for
+//! candidate lookup.
+
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -135,12 +138,54 @@ impl RoadSegment {
     }
 }
 
+/// Side of a segment-grid cell in meters: a 60 m candidate query in the
+/// synthetic cities (200–250 m blocks) touches one to four cells.
+const CELL_M: f64 = 125.0;
+
+/// A segment whose bounding box spans more cells than this (or is not
+/// finite) is not registered cell by cell; every query checks it instead.
+const MAX_CELLS_PER_SEGMENT: f64 = 64.0;
+
+/// The cell range `lo..=hi` covering coordinates `a..=b` along one axis, and
+/// its length `hi - lo + 1` (NaN when `a` or `b` is). The casts saturate,
+/// which keeps the ranges of overlapping intervals overlapping.
+fn cell_span(a: f64, b: f64) -> (i64, i64, f64) {
+    let (lo, hi) = ((a / CELL_M).floor(), (b / CELL_M).floor());
+    (lo as i64, hi as i64, hi - lo + 1.0)
+}
+
+/// Uniform grid of segment ids: each segment is registered in every
+/// `(row, col)` cell its bounding box overlaps.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct SegmentGrid {
+    cells: BTreeMap<(i64, i64), Vec<u32>>,
+    /// Segments spanning more than [`MAX_CELLS_PER_SEGMENT`] cells.
+    wide: Vec<u32>,
+}
+
+impl SegmentGrid {
+    fn insert(&mut self, id: u32, s: &RoadSegment) {
+        let (x0, x1, nx) = cell_span(s.start.x.min(s.end.x), s.start.x.max(s.end.x));
+        let (y0, y1, ny) = cell_span(s.start.y.min(s.end.y), s.start.y.max(s.end.y));
+        if nx * ny <= MAX_CELLS_PER_SEGMENT {
+            for row in y0..=y1 {
+                for col in x0..=x1 {
+                    self.cells.entry((row, col)).or_default().push(id);
+                }
+            }
+        } else {
+            self.wide.push(id);
+        }
+    }
+}
+
 /// Directed road-segment graph with CSR-style adjacency.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RoadNetwork {
     segments: Vec<RoadSegment>,
     out_edges: Vec<Vec<SegmentId>>,
     in_edges: Vec<Vec<SegmentId>>,
+    grid: SegmentGrid,
 }
 
 impl RoadNetwork {
@@ -150,6 +195,7 @@ impl RoadNetwork {
 
     pub fn add_segment(&mut self, segment: RoadSegment) -> SegmentId {
         let id = SegmentId(self.segments.len() as u32);
+        self.grid.insert(id.0, &segment);
         self.segments.push(segment);
         self.out_edges.push(Vec::new());
         self.in_edges.push(Vec::new());
@@ -215,17 +261,39 @@ impl RoadNetwork {
             .flat_map(|(i, outs)| outs.iter().map(move |&j| (SegmentId(i as u32), j)))
     }
 
-    /// Segments within `radius` meters of a point (linear scan; the synthetic
-    /// networks are small enough that a spatial index would be overkill, and
-    /// the map matcher batches its queries).
+    /// Segments within `radius` meters of a point with their distances,
+    /// nearest first (ties in id order).
+    ///
+    /// Candidates come from the grid cells overlapping the square
+    /// `p ± radius`. A square spanning more cells than there are segments (a
+    /// huge or infinite radius or coordinate), a NaN point and a NaN or
+    /// negative radius scan every segment instead. Either way the ids are
+    /// projected in ascending order and stably sorted by distance, so the
+    /// answer is the full scan's, bit for bit.
     pub fn segments_near(&self, p: Point, radius: f64) -> Vec<(SegmentId, f64)> {
-        let mut out: Vec<(SegmentId, f64)> = self
-            .segments
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                let (_, d) = s.project(p);
-                (d <= radius).then_some((SegmentId(i as u32), d))
+        // The square is padded so that rounding in `project` can never keep
+        // a segment whose cells the square misses.
+        let reach = radius + 1.0 + 1e-9 * (p.x.abs().max(p.y.abs()) + radius);
+        let (x0, x1, nx) = cell_span(p.x - reach, p.x + reach);
+        let (y0, y1, ny) = cell_span(p.y - reach, p.y + reach);
+        let ids: Vec<u32> = if radius >= 0.0 && nx * ny <= self.segments.len() as f64 {
+            let mut ids = self.grid.wide.clone();
+            for row in y0..=y1 {
+                for (_, cell) in self.grid.cells.range((row, x0)..=(row, x1)) {
+                    ids.extend_from_slice(cell);
+                }
+            }
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        } else {
+            (0..self.segments.len() as u32).collect()
+        };
+        let mut out: Vec<(SegmentId, f64)> = ids
+            .into_iter()
+            .filter_map(|i| {
+                let (_, d) = self.segments[i as usize].project(p);
+                (d <= radius).then_some((SegmentId(i), d))
             })
             .collect();
         out.sort_by(|a, b| a.1.total_cmp(&b.1));

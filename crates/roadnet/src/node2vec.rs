@@ -1,4 +1,4 @@
-//! node2vec [17]: biased second-order random walks + skip-gram with negative
+//! node2vec \[17\]: biased second-order random walks + skip-gram with negative
 //! sampling. Used by the PIM and Toast baselines and by the `w/ Node2vec`
 //! ablation of Fig. 7 — the road-embedding method the paper argues TPE-GAT
 //! improves upon.

@@ -1,9 +1,11 @@
-//! Shortest-path machinery: Dijkstra and Yen's k-shortest loopless paths [24].
+//! Shortest-path machinery: Dijkstra, a bounded one-to-many Dijkstra and
+//! Yen's k-shortest loopless paths \[24\].
 //!
 //! Yen's algorithm generates the top-k detour candidates the paper uses to
-//! build ground truth for the similarity-search experiments (§IV-D4), and
+//! build ground truth for the similarity-search experiments (§IV-D4),
 //! Dijkstra (with perturbable edge weights) is the route-choice engine of the
-//! trajectory simulator.
+//! trajectory simulator, and [`BoundedSearch`] gives the map matcher its
+//! transition distances.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
@@ -17,7 +19,7 @@ pub struct Path {
     pub cost: f64,
 }
 
-#[derive(PartialEq)]
+#[derive(Debug, PartialEq)]
 struct HeapEntry {
     cost: f64,
     seg: SegmentId,
@@ -85,6 +87,77 @@ pub fn dijkstra(
         }
     }
     None
+}
+
+/// Reusable one-to-many Dijkstra within a cost bound: FMM's bounded
+/// transition search, without its precomputed table.
+///
+/// One [`run`](Self::run) finds the route lengths from a source to a few
+/// targets; [`cost`](Self::cost) then reads each one. The distance array,
+/// heap and touched list are kept between runs and the array is reset
+/// through the touched list, so a run costs what it explores, not `|V|`.
+#[derive(Debug, Default)]
+pub struct BoundedSearch {
+    dist: Vec<f64>,
+    touched: Vec<SegmentId>,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+impl BoundedSearch {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Search from `source`, charging each segment's `length_m` on entering
+    /// it, the cost the map matcher gives [`dijkstra`]. No entry costlier
+    /// than `bound` is pushed, and the search stops once every target is
+    /// settled or nothing within `bound` is left.
+    pub fn run(&mut self, net: &RoadNetwork, source: SegmentId, targets: &[SegmentId], bound: f64) {
+        for seg in self.touched.drain(..) {
+            self.dist[seg.index()] = f64::INFINITY;
+        }
+        self.heap.clear();
+        self.dist.resize(net.num_segments(), f64::INFINITY);
+        // A repeated target is counted twice, so the search then runs to the
+        // bound: slower, never wrong.
+        let mut unsettled = targets.len();
+        self.dist[source.index()] = 0.0;
+        self.touched.push(source);
+        self.heap.push(HeapEntry { cost: 0.0, seg: source });
+
+        while let Some(HeapEntry { cost: d, seg }) = self.heap.pop() {
+            if d > self.dist[seg.index()] {
+                continue;
+            }
+            if targets.contains(&seg) {
+                unsettled -= 1;
+                if unsettled == 0 {
+                    return;
+                }
+            }
+            for &next in net.successors(seg) {
+                let w = net.segment(next).length_m as f64;
+                if !w.is_finite() {
+                    continue;
+                }
+                let nd = d + w;
+                if nd <= bound && nd < self.dist[next.index()] {
+                    if self.dist[next.index()] == f64::INFINITY {
+                        self.touched.push(next);
+                    }
+                    self.dist[next.index()] = nd;
+                    self.heap.push(HeapEntry { cost: nd, seg: next });
+                }
+            }
+        }
+    }
+
+    /// The length from the last run's source to `target`, one of its
+    /// targets: bit for bit the `cost` of [`dijkstra`] charging `length_m`,
+    /// or `None` when that exceeds the bound or `target` is unreachable.
+    pub fn cost(&self, target: SegmentId) -> Option<f64> {
+        self.dist.get(target.index()).copied().filter(|d| d.is_finite())
+    }
 }
 
 /// Yen's k-shortest loopless paths between two segments.

@@ -8,9 +8,11 @@
 //!   data its temporal regularities (Fig. 1);
 //! - [`simulate`] — the congestion-aware trajectory simulator substituting
 //!   for the proprietary taxi fleets (DESIGN.md §4);
-//! - [`map_match`] — HMM (Viterbi) map matching from raw GPS to road
-//!   sequences;
-//! - [`preprocess`] — the paper's filters and chronological splits;
+//! - [`map_match`](mod@map_match) — HMM (Viterbi) map matching from raw GPS
+//!   to road sequences, with FMM's segment grid and bounded transition
+//!   searches;
+//! - [`preprocess`](mod@preprocess) — the paper's filters and chronological
+//!   splits;
 //! - [`augment`] — the four contrastive data-augmentation strategies
 //!   (§III-C2) and the span-mask selector (§III-C1);
 //! - [`detour`] — top-k-detour ground-truth generation for similarity

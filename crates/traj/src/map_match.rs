@@ -1,4 +1,4 @@
-//! HMM map matching (§II-A, reference [3] of the paper).
+//! HMM map matching (§II-A, reference \[3\] of the paper).
 //!
 //! Aligns raw GPS points with road segments: hidden states are candidate
 //! segments per point, emission probability decays with the point-to-segment
@@ -7,8 +7,14 @@
 //! distance (exponential), exactly the Newson-Krumm / FMM recipe. Decoding
 //! is Viterbi; the resulting segment sequence is deduplicated and stitched
 //! into a connected path with shortest-path gap filling.
+//!
+//! It keeps FMM's two speed-ups without its precomputed table: candidates
+//! come from [`RoadNetwork::segments_near`]'s segment grid, and the route
+//! distances of a transition come from one [`BoundedSearch`] per previous
+//! candidate, to all current candidates at once, within the transition's
+//! bound `4 · euclid + 500` m.
 
-use start_roadnet::{dijkstra, Point, RoadNetwork, SegmentId};
+use start_roadnet::{dijkstra, BoundedSearch, Point, RoadNetwork, SegmentId};
 
 use crate::types::{RawTrajectory, Timestamp, Trajectory, TravelMode};
 
@@ -31,11 +37,34 @@ impl Default for MatchConfig {
     }
 }
 
+impl MatchConfig {
+    fn validate(&self) -> Result<(), MatchError> {
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        if self.max_candidates == 0 {
+            return Err(MatchError::InvalidConfig("max_candidates must be at least 1"));
+        }
+        if !positive(self.radius_m) {
+            return Err(MatchError::InvalidConfig("radius_m must be finite and positive"));
+        }
+        if !positive(self.sigma_m) {
+            return Err(MatchError::InvalidConfig("sigma_m must be finite and positive"));
+        }
+        if !positive(self.beta_m) {
+            return Err(MatchError::InvalidConfig("beta_m must be finite and positive"));
+        }
+        Ok(())
+    }
+}
+
 /// Errors from [`map_match`].
 #[derive(Debug, PartialEq, Eq)]
 pub enum MatchError {
+    /// A [`MatchConfig`] field is out of range.
+    InvalidConfig(&'static str),
     /// Fewer than two GPS points.
     TooShort,
+    /// GPS point `point_index` is earlier than the point before it.
+    UnsortedTimes { point_index: usize },
     /// Some GPS point had no candidate segment within the radius.
     NoCandidates { point_index: usize },
     /// The Viterbi lattice broke (no connected transition anywhere).
@@ -45,7 +74,11 @@ pub enum MatchError {
 impl std::fmt::Display for MatchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            MatchError::InvalidConfig(why) => write!(f, "invalid match config: {why}"),
             MatchError::TooShort => write!(f, "trajectory has fewer than two GPS points"),
+            MatchError::UnsortedTimes { point_index } => {
+                write!(f, "GPS point {point_index} is earlier than the point before it")
+            }
             MatchError::NoCandidates { point_index } => {
                 write!(f, "no road within radius of GPS point {point_index}")
             }
@@ -56,16 +89,6 @@ impl std::fmt::Display for MatchError {
 
 impl std::error::Error for MatchError {}
 
-/// Route distance (meters) between two segments, bounded to keep the lattice
-/// cheap; `None` when unreachable within the bound.
-fn route_distance(net: &RoadNetwork, from: SegmentId, to: SegmentId, bound: f64) -> Option<f64> {
-    if from == to {
-        return Some(0.0);
-    }
-    let path = dijkstra(net, from, to, |_, next| net.segment(next).length_m as f64)?;
-    (path.cost <= bound).then_some(path.cost)
-}
-
 /// Match a raw GPS trajectory onto the road network, producing the
 /// road-network constrained trajectory of Definition 3.
 pub fn map_match(
@@ -73,8 +96,12 @@ pub fn map_match(
     raw: &RawTrajectory,
     cfg: &MatchConfig,
 ) -> Result<Trajectory, MatchError> {
+    cfg.validate()?;
     if raw.points.len() < 2 {
         return Err(MatchError::TooShort);
+    }
+    if let Some(i) = raw.points.windows(2).position(|w| w[1].t < w[0].t) {
+        return Err(MatchError::UnsortedTimes { point_index: i + 1 });
     }
     // Candidate states per point.
     let mut candidates: Vec<Vec<(SegmentId, f64)>> = Vec::with_capacity(raw.points.len());
@@ -91,25 +118,40 @@ pub fn map_match(
     let emission = |dist: f64| -0.5 * (dist / cfg.sigma_m).powi(2);
     let mut scores: Vec<f64> = candidates[0].iter().map(|&(_, d)| emission(d)).collect();
     let mut backptr: Vec<Vec<usize>> = Vec::with_capacity(candidates.len());
+    let mut search = BoundedSearch::new();
+    // `routes[i * width + j]`: route distance from candidate `i` of the
+    // previous point to candidate `j` of this one, within the bound.
+    let mut routes: Vec<Option<f64>> = Vec::new();
 
     for t in 1..candidates.len() {
         let p_prev = &raw.points[t - 1];
         let p_cur = &raw.points[t];
         let euclid = Point::new(p_prev.x, p_prev.y).distance(Point::new(p_cur.x, p_cur.y));
         let bound = euclid * 4.0 + 500.0;
-        let mut new_scores = vec![f64::NEG_INFINITY; candidates[t].len()];
-        let mut ptrs = vec![0usize; candidates[t].len()];
-        for (j, &(cand, dist)) in candidates[t].iter().enumerate() {
+        let targets: Vec<SegmentId> = candidates[t].iter().map(|&(seg, _)| seg).collect();
+        let width = targets.len();
+        routes.clear();
+        routes.resize(candidates[t - 1].len() * width, None);
+        for (i, &(prev_cand, _)) in candidates[t - 1].iter().enumerate() {
+            if scores[i] == f64::NEG_INFINITY {
+                continue;
+            }
+            search.run(net, prev_cand, &targets, bound);
+            for (route, &to) in routes[i * width..(i + 1) * width].iter_mut().zip(&targets) {
+                *route = search.cost(to);
+            }
+        }
+        let mut new_scores = vec![f64::NEG_INFINITY; width];
+        let mut ptrs = vec![0usize; width];
+        for (j, &(_, dist)) in candidates[t].iter().enumerate() {
             let emit = emission(dist);
-            for (i, &(prev_cand, _)) in candidates[t - 1].iter().enumerate() {
-                if scores[i] == f64::NEG_INFINITY {
-                    continue;
-                }
-                let Some(route) = route_distance(net, prev_cand, cand, bound) else {
+            // A previous candidate without a score has no routes.
+            for (i, &score) in scores.iter().enumerate() {
+                let Some(route) = routes[i * width + j] else {
                     continue;
                 };
                 let trans = -((route - euclid).abs() / cfg.beta_m);
-                let s = scores[i] + trans + emit;
+                let s = score + trans + emit;
                 if s > new_scores[j] {
                     new_scores[j] = s;
                     ptrs[j] = i;
@@ -212,6 +254,68 @@ mod tests {
             map_match(&city.net, &raw, &MatchConfig::default()),
             Err(MatchError::NoCandidates { .. })
         ));
+    }
+
+    /// One simulated tiny-city trace, rendered as GPS every 15 s.
+    fn simulated_trace() -> (start_roadnet::City, RawTrajectory) {
+        let city = generate_city("t", &CityConfig::tiny());
+        let raw = {
+            let sim = Simulator::new(
+                &city.net,
+                SimConfig { num_trajectories: 4, num_drivers: 2, ..Default::default() },
+            );
+            let traj = sim.generate().into_iter().next().expect("one trajectory");
+            sim.to_raw_gps(&traj, 15, 5.0, &mut StdRng::seed_from_u64(3))
+        };
+        (city, raw)
+    }
+
+    #[test]
+    fn backwards_timestamps_are_rejected() {
+        let (city, mut raw) = simulated_trace();
+        let last = raw.points.len() - 1;
+        assert!(last >= 2, "trace too short to unsort");
+        assert!(map_match(&city.net, &raw, &MatchConfig::default()).is_ok());
+        let (first_t, last_t) = (raw.points[0].t, raw.points[last].t);
+        raw.points[0].t = last_t;
+        raw.points[last].t = first_t;
+        assert_eq!(
+            map_match(&city.net, &raw, &MatchConfig::default()).err(),
+            Some(MatchError::UnsortedTimes { point_index: 1 })
+        );
+        // Equal timestamps are sorted, as `Trajectory::validate` has it.
+        raw.points[0].t = raw.points[1].t;
+        assert_eq!(
+            map_match(&city.net, &raw, &MatchConfig::default()).err(),
+            Some(MatchError::UnsortedTimes { point_index: last })
+        );
+    }
+
+    #[test]
+    fn invalid_configs_are_rejected_before_any_work() {
+        let (city, raw) = simulated_trace();
+        let base = MatchConfig::default();
+        let bad = [
+            MatchConfig { max_candidates: 0, ..base.clone() },
+            MatchConfig { radius_m: f64::NAN, ..base.clone() },
+            MatchConfig { radius_m: 0.0, ..base.clone() },
+            MatchConfig { radius_m: f64::INFINITY, ..base.clone() },
+            MatchConfig { sigma_m: 0.0, ..base.clone() },
+            MatchConfig { sigma_m: -10.0, ..base.clone() },
+            MatchConfig { sigma_m: f64::INFINITY, ..base.clone() },
+            MatchConfig { beta_m: 0.0, ..base.clone() },
+            MatchConfig { beta_m: f64::NAN, ..base.clone() },
+        ];
+        for cfg in &bad {
+            assert!(
+                matches!(map_match(&city.net, &raw, cfg), Err(MatchError::InvalidConfig(_))),
+                "{cfg:?}"
+            );
+            // Checked before the trace itself.
+            let empty = RawTrajectory { points: vec![], driver: 0 };
+            assert!(matches!(map_match(&city.net, &empty, cfg), Err(MatchError::InvalidConfig(_))));
+        }
+        assert!(map_match(&city.net, &raw, &base).is_ok());
     }
 
     #[test]
