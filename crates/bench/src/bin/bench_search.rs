@@ -166,8 +166,8 @@ struct ServingPoint {
     bytes: usize,
 }
 
-/// The reduced-precision serving path: build brute-force stores (the
-/// `ServeConfig::precision` configuration) at each storage precision over
+/// The reduced-precision serving path: build brute-force stores
+/// (`EmbeddingStore::with_precision`) at each storage precision over
 /// the same data, take the f32 store's answers as ground truth, and score
 /// the quantized stores' recall@K plus resident embedding bytes.
 fn run_serving_precision(n: usize, centers: &[f32]) -> (usize, Vec<ServingPoint>) {
@@ -282,8 +282,8 @@ fn main() {
     let int8 = run_point(largest, &centers, Precision::I8);
     print_point(&int8);
 
-    // The reduced-precision *serving* path (brute-force store, the
-    // `ServeConfig::precision` configuration) at the largest size.
+    // The reduced-precision *serving* path (brute-force store,
+    // `EmbeddingStore::with_precision`) at the largest size.
     let (exact_bytes, serving) = run_serving_precision(largest, &centers);
     print_serving(exact_bytes, &serving);
     let f16_serving =

@@ -23,7 +23,7 @@ use start_nn::train::{fit, ShardResult, TrainConfig, Trainable, Warmup};
 use start_nn::Array;
 use start_traj::{TrajView, Trajectory};
 
-use crate::encoder::EncodeOptions;
+use crate::encoder::{EncodeOptions, CHUNK};
 use crate::model::{clamp_view, StartModel};
 
 /// A trajectory encoder the task heads can fine-tune: START or any
@@ -40,11 +40,11 @@ pub trait TrajEncoder: Trainable {
     fn pool_views(&self, g: &mut Graph, views: &[TrajView], rng: &mut StdRng) -> Vec<NodeId>;
 
     /// Inference embeddings of `views`, clamped to `max_len` (eval mode, one
-    /// graph per 64 views).
+    /// graph per chunk of 64 views, as the [`crate::Encoder`] chunks).
     fn embed_views(&self, views: &[TrajView]) -> Vec<Vec<f32>> {
         let mut rng = StdRng::seed_from_u64(0);
         let mut out = Vec::with_capacity(views.len());
-        for chunk in views.chunks(64) {
+        for chunk in views.chunks(CHUNK) {
             let chunk: Vec<TrajView> =
                 chunk.iter().map(|v| clamp_view(v.clone(), self.max_len())).collect();
             let mut g = Graph::new(self.store(), false);

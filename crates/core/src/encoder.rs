@@ -13,28 +13,27 @@
 //! What the facade owns:
 //!
 //! - **Validation** (typed [`EncodeError`], no asserts): empty views are
-//!   rejected; over-long views are clamped to `cfg.max_len` when
-//!   [`EncodeOptions::clamp`] is set (the default) and rejected otherwise.
-//! - **Chunked pooled tapes**: views are encoded `chunk` at a time on an
+//!   rejected; over-long views are clamped to `cfg.max_len` (the prefix is
+//!   kept), so a view longer than the model takes never fails.
+//! - **Chunked pooled tapes**: views are encoded 64 at a time on an
 //!   eval-mode [`Graph`] that computes the road representation matrix once
 //!   per chunk; after every view the tape is pruned with
 //!   [`Graph::forward_release`] (keeping only the road matrix), so peak
-//!   memory stays at one-view scale regardless of `chunk`. Buffers cycle
+//!   memory stays at one-view scale whatever the chunk holds. Buffers cycle
 //!   through a [`BufferPool`] across chunks.
 //! - **Threading**: with `threads > 1`, whole chunks are distributed
 //!   round-robin over scoped workers. Chunk boundaries are identical to the
 //!   single-thread schedule and each view's embedding depends only on the
 //!   view and the (frozen) parameters, so the output is **bitwise identical
 //!   for every thread count** — the property the serving layer's tests pin.
-//! - **Caching**: an optional sharded-LRU [`EmbeddingCache`] keyed by a
-//!   128-bit content [`Fingerprint`] of the (clamped) view. Duplicate views
-//!   inside one call are encoded once even with the cache disabled.
+//! - **Caching**: an optional exact-capacity LRU [`EmbeddingCache`] keyed
+//!   by a 128-bit content [`Fingerprint`] of the clamped view. Duplicate
+//!   views inside one call are encoded once even with the cache disabled.
 //!
 //! Worker panics (impossible input indexes, poisoned kernels) propagate to
 //! the caller via `resume_unwind` exactly like the legacy paths — turning
 //! them into typed errors is the job of `start-serve`'s service boundary.
 
-use start_sync::atomic::{AtomicU64, Ordering};
 use start_sync::{Arc, Mutex};
 use std::collections::HashMap;
 
@@ -54,46 +53,26 @@ pub type Embedding = Vec<f32>;
 // Options and errors
 // ---------------------------------------------------------------------------
 
-/// Knobs of one [`Encoder::encode`] call.
+/// Views per tape chunk: the road representation matrix is computed once
+/// per chunk. One definition for the [`Encoder`] and the default
+/// [`crate::downstream::TrajEncoder::embed_views`].
+pub(crate) const CHUNK: usize = 64;
+
+/// Options of one [`Encoder::encode`] call.
 #[derive(Debug, Clone)]
 pub struct EncodeOptions {
     /// Worker threads for large batches. `0` is rejected
     /// ([`EncodeError::ZeroThreads`]); `1` (the default) is the sequential
     /// schedule the multi-threaded output is defined to bitwise-match.
     pub threads: usize,
-    /// Views per tape chunk; the road representation matrix is computed once
-    /// per chunk. `0` falls back to [`EncodeOptions::DEFAULT_CHUNK`].
-    pub chunk: usize,
-    /// Clamp over-long views to `cfg.max_len` (keeps the prefix). When
-    /// `false`, over-long views are an [`EncodeError::TooLong`].
-    pub clamp: bool,
     /// Optional shared embedding cache consulted (and filled) per view.
     pub cache: Option<Arc<EmbeddingCache>>,
 }
 
 impl Default for EncodeOptions {
-    /// Sequential defaults: 1 thread, [`Self::DEFAULT_CHUNK`] views per
-    /// chunk, clamping on, no cache.
+    /// Sequential defaults: 1 thread, no cache.
     fn default() -> Self {
-        Self { threads: 1, chunk: Self::DEFAULT_CHUNK, clamp: true, cache: None }
-    }
-}
-
-impl EncodeOptions {
-    /// Views per graph chunk when unspecified — the legacy entry points'
-    /// hard-coded chunk size, kept so shimmed callers see identical batching.
-    pub const DEFAULT_CHUNK: usize = 64;
-
-    fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn chunk(&self) -> usize {
-        if self.chunk == 0 {
-            Self::DEFAULT_CHUNK
-        } else {
-            self.chunk
-        }
+        Self { threads: 1, cache: None }
     }
 }
 
@@ -104,8 +83,6 @@ impl EncodeOptions {
 pub enum EncodeError {
     /// View `index` has no roads; there is nothing to pool.
     EmptyView { index: usize },
-    /// View `index` exceeds `max_len` and clamping was disabled.
-    TooLong { index: usize, len: usize, max_len: usize },
     /// `opts.threads == 0`.
     ZeroThreads,
 }
@@ -116,11 +93,6 @@ impl std::fmt::Display for EncodeError {
             EncodeError::EmptyView { index } => {
                 write!(f, "view {index} is empty; cannot encode a zero-length trajectory")
             }
-            EncodeError::TooLong { index, len, max_len } => write!(
-                f,
-                "view {index} has {len} roads but max_len is {max_len} \
-                 (set EncodeOptions::clamp to truncate)"
-            ),
             EncodeError::ZeroThreads => write!(f, "EncodeOptions::threads must be >= 1"),
         }
     }
@@ -177,7 +149,7 @@ pub fn fingerprint_view(view: &TrajView) -> Fingerprint {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded LRU embedding cache
+// LRU embedding cache
 // ---------------------------------------------------------------------------
 
 /// Cache hit/miss counters plus occupancy, as one snapshot.
@@ -212,27 +184,20 @@ struct Slot {
     next: usize,
 }
 
-/// One LRU shard: an intrusive doubly-linked recency list over slab slots
-/// plus a key map. All operations are O(1).
-struct Shard {
+/// An LRU of at most `capacity` entries: an intrusive doubly-linked
+/// recency list over slab slots plus a key map, and the lookup tallies.
+/// All operations are O(1).
+struct Lru {
     map: HashMap<u128, usize>,
     slots: Vec<Slot>,
     head: usize,
     tail: usize,
     capacity: usize,
+    hits: u64,
+    misses: u64,
 }
 
-impl Shard {
-    fn new(capacity: usize) -> Self {
-        Self {
-            map: HashMap::with_capacity(capacity),
-            slots: Vec::with_capacity(capacity),
-            head: NIL,
-            tail: NIL,
-            capacity,
-        }
-    }
-
+impl Lru {
     fn unlink(&mut self, i: usize) {
         let (prev, next) = (self.slots[i].prev, self.slots[i].next);
         match prev {
@@ -256,7 +221,11 @@ impl Shard {
     }
 
     fn get(&mut self, key: u128) -> Option<Embedding> {
-        let i = *self.map.get(&key)?;
+        let Some(&i) = self.map.get(&key) else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
         self.unlink(i);
         self.push_front(i);
         Some(self.slots[i].emb.clone())
@@ -272,26 +241,25 @@ impl Shard {
         let i = if self.slots.len() < self.capacity {
             self.slots.push(Slot { key, emb, prev: NIL, next: NIL });
             self.slots.len() - 1
-        } else {
+        } else if self.tail != NIL {
             // Evict the least-recently-used entry and reuse its slot.
             let lru = self.tail;
             self.unlink(lru);
             self.map.remove(&self.slots[lru].key);
             self.slots[lru] = Slot { key, emb, prev: NIL, next: NIL };
             lru
+        } else {
+            // Capacity 0: there is no slot to fill or evict.
+            return;
         };
         self.map.insert(key, i);
         self.push_front(i);
     }
 }
 
-/// A sharded LRU cache from view [`Fingerprint`]s to embeddings.
-///
-/// Shard count is rounded up to a power of two; a fingerprint's shard is its
-/// low bits, its in-shard key the full 128-bit value. Each shard is an O(1)
-/// intrusive-list LRU behind its own mutex, so concurrent encode workers
-/// only contend when they touch the same shard. A cached vector is returned
-/// by clone and is bit-for-bit the vector that was inserted.
+/// An LRU cache from view [`Fingerprint`]s to at most `capacity`
+/// embeddings, behind one mutex. A cached vector is returned by clone and
+/// is bit-for-bit the vector that was inserted.
 ///
 /// A cache instance is pinned to one model-version **epoch** at
 /// construction. The serving tier never mutates a cache across a weight
@@ -299,18 +267,14 @@ impl Shard {
 /// encode racing the swap can only insert into the retiring instance and
 /// stale bits are unreachable from the new version by construction.
 pub struct EmbeddingCache {
-    shards: Vec<Mutex<Shard>>,
-    mask: usize,
+    lru: Mutex<Lru>,
     epoch: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl std::fmt::Debug for EmbeddingCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let stats = self.stats();
         f.debug_struct("EmbeddingCache")
-            .field("shards", &self.shards.len())
             .field("entries", &stats.entries)
             .field("capacity", &stats.capacity)
             .field("hits", &stats.hits)
@@ -320,30 +284,20 @@ impl std::fmt::Debug for EmbeddingCache {
 }
 
 impl EmbeddingCache {
-    /// Cache with `capacity` total entries across 8 shards, at epoch 0.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_shards(capacity, 8)
-    }
-
-    /// Cache with `capacity` total entries across `shards` shards (rounded
-    /// up to a power of two; each shard gets an equal slice, at least 1),
-    /// at epoch 0.
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        Self::with_shards_at_epoch(capacity, shards, 0)
-    }
-
-    /// [`EmbeddingCache::with_shards`] pinned to a model-version `epoch` —
-    /// the serving tier constructs one cache per published model version.
-    pub fn with_shards_at_epoch(capacity: usize, shards: usize, epoch: u64) -> Self {
-        let shards = shards.max(1).next_power_of_two();
-        let per_shard = capacity.div_ceil(shards).max(1);
-        Self {
-            shards: (0..shards).map(|_| Mutex::new(Shard::new(per_shard))).collect(),
-            mask: shards - 1,
-            epoch,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+    /// Cache of exactly `capacity` entries (0 stores nothing), pinned to
+    /// model-version `epoch` — the serving tier constructs one cache per
+    /// published model version.
+    pub fn new(capacity: usize, epoch: u64) -> Self {
+        let lru = Lru {
+            map: HashMap::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity),
+            head: NIL,
+            tail: NIL,
+            capacity,
+            hits: 0,
+            misses: 0,
+        };
+        Self { lru: Mutex::new(lru), epoch }
     }
 
     /// The model-version epoch this cache was built for (immutable).
@@ -351,53 +305,45 @@ impl EmbeddingCache {
         self.epoch
     }
 
-    fn shard(&self, fp: Fingerprint) -> &Mutex<Shard> {
-        &self.shards[(fp.0 as usize) & self.mask]
+    /// Lock the LRU, riding through poisoning: it holds plain data and a
+    /// panicked writer can only have left it consistent-but-stale (every
+    /// mutation completes or the entry stays absent), so serving from it is
+    /// safe.
+    fn lock(&self) -> start_sync::MutexGuard<'_, Lru> {
+        self.lru.lock().unwrap_or_else(start_sync::PoisonError::into_inner)
     }
 
     /// Look up a fingerprint, refreshing its recency on hit.
     pub fn get(&self, fp: Fingerprint) -> Option<Embedding> {
-        let got = lock(self.shard(fp)).get(fp.0);
-        // Hit/miss tallies are advisory; stats() is approximate.
-        match got {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed), // relaxed-ok: advisory tally
-            None => self.misses.fetch_add(1, Ordering::Relaxed),  // relaxed-ok: advisory tally
-        };
-        got
+        self.lock().get(fp.0)
     }
 
-    /// Insert (or refresh) an embedding, evicting the shard's LRU entry when
-    /// the shard is full.
+    /// Insert (or refresh) an embedding, evicting the least-recently-used
+    /// entry when the cache is full.
     pub fn insert(&self, fp: Fingerprint, emb: Embedding) {
-        lock(self.shard(fp)).insert(fp.0, emb);
+        self.lock().insert(fp.0, emb);
     }
 
     /// Current number of cached embeddings.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).map.len()).sum()
+        self.lock().map.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot, taken under the one lock.
     pub fn stats(&self) -> CacheStats {
+        let lru = self.lock();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed), // relaxed-ok: approximate snapshot
-            misses: self.misses.load(Ordering::Relaxed), // relaxed-ok: approximate snapshot
-            entries: self.len(),
-            capacity: self.shards.iter().map(|s| lock(s).capacity).sum(),
+            hits: lru.hits,
+            misses: lru.misses,
+            entries: lru.map.len(),
+            capacity: lru.capacity,
             epoch: self.epoch,
         }
     }
-}
-
-/// Lock a shard, riding through poisoning: the cache holds plain data and a
-/// panicked writer can only have left a consistent-but-stale shard (every
-/// mutation completes or the entry stays absent), so serving from it is safe.
-fn lock(m: &Mutex<Shard>) -> start_sync::MutexGuard<'_, Shard> {
-    m.lock().unwrap_or_else(start_sync::PoisonError::into_inner)
 }
 
 // ---------------------------------------------------------------------------
@@ -467,10 +413,9 @@ impl<'m> Encoder<'m> {
         opts: &EncodeOptions,
         pool: Option<BufferPool>,
     ) -> Result<(Vec<Embedding>, Option<BufferPool>), EncodeError> {
-        if opts.threads() == 0 {
+        if opts.threads == 0 {
             return Err(EncodeError::ZeroThreads);
         }
-        let max_len = self.model.cfg.max_len;
         let mut slots: Vec<Option<Embedding>> = vec![None; views.len()];
         let mut misses: Vec<MissGroup> = Vec::new();
         let mut seen: HashMap<u128, usize> = HashMap::new();
@@ -479,10 +424,7 @@ impl<'m> Encoder<'m> {
             if view.is_empty() {
                 return Err(EncodeError::EmptyView { index: i });
             }
-            if view.len() > max_len && !opts.clamp {
-                return Err(EncodeError::TooLong { index: i, len: view.len(), max_len });
-            }
-            let view = clamp_view(view.clone(), max_len);
+            let view = clamp_view(view.clone(), self.model.cfg.max_len);
             let fp = fingerprint_view(&view);
             if let Some(cache) = &opts.cache {
                 if let Some(emb) = cache.get(fp) {
@@ -524,7 +466,7 @@ impl<'m> Encoder<'m> {
     }
 
     /// Encode already-validated, already-deduplicated views. The chunk
-    /// schedule is fixed by `opts.chunk`; `threads > 1` only changes which
+    /// schedule is fixed by [`CHUNK`]; `threads > 1` only changes which
     /// worker runs a chunk, never its boundaries or its content.
     fn encode_unique(
         &self,
@@ -532,21 +474,20 @@ impl<'m> Encoder<'m> {
         opts: &EncodeOptions,
         pool: Option<BufferPool>,
     ) -> (Vec<Embedding>, Option<BufferPool>) {
-        let chunk = opts.chunk();
-        let num_chunks = views.len().div_ceil(chunk.max(1));
-        let threads = opts.threads().min(num_chunks).max(1);
+        let num_chunks = views.len().div_ceil(CHUNK);
+        let threads = opts.threads.min(num_chunks).max(1);
 
         if threads == 1 || pool.is_some() {
             let mut p = pool.unwrap_or_default();
             let mut out = Vec::with_capacity(views.len());
-            for part in views.chunks(chunk) {
+            for part in views.chunks(CHUNK) {
                 p = self.encode_chunk(part, p, &mut out);
             }
             return (out, Some(p));
         }
 
         // Chunks are dealt round-robin; worker w owns chunks w, w+T, w+2T, …
-        let chunks: Vec<&[&TrajView]> = views.chunks(chunk).collect();
+        let chunks: Vec<&[&TrajView]> = views.chunks(CHUNK).collect();
         let mut per_chunk: Vec<Vec<Embedding>> = vec![Vec::new(); chunks.len()];
         crossbeam::scope(|s| {
             let mut handles = Vec::with_capacity(threads);
@@ -649,21 +590,23 @@ mod tests {
 
     #[test]
     fn cache_epoch_is_pinned_at_construction_and_reported() {
-        let cache = EmbeddingCache::with_shards_at_epoch(16, 4, 7);
+        let cache = EmbeddingCache::new(16, 7);
         assert_eq!(cache.epoch(), 7);
         assert_eq!(cache.stats().epoch, 7);
-        assert_eq!(EmbeddingCache::new(16).epoch(), 0);
     }
 
+    /// At least 150 views make three chunks, the last one partial, so every
+    /// thread count from 2 to 4 deals whole chunks to more than one worker.
     #[test]
     fn thread_and_chunk_counts_do_not_change_the_bits() {
-        let (city, data, tm) = setup(40);
+        let (city, data, tm) = setup(150);
+        assert!(data.len() > 2 * CHUNK && data.len() % CHUNK != 0, "{} views", data.len());
         let model = StartModel::new(StartConfig::test_scale(), &city.net, Some(&tm), None, 7);
         let base = model.encoder().encode(&data, &EncodeOptions::default()).unwrap();
-        for (threads, chunk) in [(1, 4), (2, 8), (4, 4), (3, 64), (4, 1)] {
-            let opts = EncodeOptions { threads, chunk, clamp: true, cache: None };
+        for threads in 2..=4 {
+            let opts = EncodeOptions { threads, cache: None };
             let got = model.encoder().encode(&data, &opts).unwrap();
-            assert_eq!(bits(&base), bits(&got), "threads={threads} chunk={chunk} diverged");
+            assert_eq!(bits(&base), bits(&got), "threads={threads} diverged");
         }
     }
 
@@ -706,7 +649,7 @@ mod tests {
     fn cache_round_trip_returns_the_identical_vector() {
         let (city, data, tm) = setup(10);
         let model = StartModel::new(StartConfig::test_scale(), &city.net, Some(&tm), None, 7);
-        let cache = Arc::new(EmbeddingCache::new(64));
+        let cache = Arc::new(EmbeddingCache::new(64, 0));
         let opts = EncodeOptions { cache: Some(cache.clone()), ..EncodeOptions::default() };
         let first = model.encoder().encode(&data[..4], &opts).unwrap();
         let again = model.encoder().encode(&data[..4], &opts).unwrap();
@@ -732,25 +675,6 @@ mod tests {
             .encode_views(&[TrajView::identity(&data[1]), bad], &EncodeOptions::default())
             .unwrap_err();
         assert_eq!(err, EncodeError::EmptyView { index: 1 });
-    }
-
-    #[test]
-    fn unclamped_overlong_view_is_a_typed_error() {
-        let (city, data, tm) = setup(5);
-        let cfg = StartConfig::test_scale();
-        let model = StartModel::new(cfg, &city.net, Some(&tm), None, 7);
-        let mut long = TrajView::identity(&data[0]);
-        while long.len() <= model.cfg.max_len {
-            long.roads.extend_from_within(..);
-            long.times.extend_from_within(..);
-            long.masked.extend_from_within(..);
-        }
-        let opts = EncodeOptions { clamp: false, ..EncodeOptions::default() };
-        let err = model.encoder().encode_views(&[long.clone()], &opts).unwrap_err();
-        assert!(matches!(err, EncodeError::TooLong { index: 0, .. }), "{err:?}");
-        // With clamping (the default) the same view encodes fine.
-        let ok = model.encoder().encode_views(&[long], &EncodeOptions::default());
-        assert!(ok.is_ok());
     }
 
     #[test]
@@ -787,7 +711,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used_first() {
-        let cache = EmbeddingCache::with_shards(2, 1);
+        let cache = EmbeddingCache::new(2, 0);
         let fp = |n: u128| Fingerprint(n);
         cache.insert(fp(1), vec![1.0]);
         cache.insert(fp(2), vec![2.0]);
@@ -801,12 +725,27 @@ mod tests {
 
     #[test]
     fn cache_insert_refreshes_existing_keys() {
-        let cache = EmbeddingCache::with_shards(2, 1);
+        let cache = EmbeddingCache::new(2, 0);
         cache.insert(Fingerprint(1), vec![1.0]);
         cache.insert(Fingerprint(2), vec![2.0]);
         cache.insert(Fingerprint(1), vec![1.5]); // refresh + replace → 2 is LRU
         cache.insert(Fingerprint(3), vec![3.0]);
         assert_eq!(cache.get(Fingerprint(1)), Some(vec![1.5]));
         assert_eq!(cache.get(Fingerprint(2)), None);
+    }
+
+    /// The cache holds exactly `capacity` entries however many distinct
+    /// fingerprints pass through it, and capacity 0 stores nothing.
+    #[test]
+    fn cache_holds_exactly_its_capacity() {
+        for capacity in [0, 1, 11, 512] {
+            let cache = EmbeddingCache::new(capacity, 0);
+            for n in 0..10_000u128 {
+                cache.insert(Fingerprint(n), vec![n as f32]);
+            }
+            let stats = cache.stats();
+            assert_eq!(stats.entries, capacity, "capacity {capacity}");
+            assert_eq!(stats.capacity, capacity, "capacity {capacity}");
+        }
     }
 }

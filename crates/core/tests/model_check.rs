@@ -1,8 +1,8 @@
-//! Executable concurrency model for the sharded-LRU [`EmbeddingCache`],
-//! explored by the `start_sync` model checker. The real cache type runs
-//! under the checker (its `Mutex` shards and hit/miss atomics are shim
-//! primitives), so every interleaving of concurrent inserts and lookups is
-//! checked for deadlock and for snapshot coherence.
+//! Executable concurrency model for the LRU [`EmbeddingCache`], explored by
+//! the `start_sync` model checker. The real cache type runs under the
+//! checker (its one `Mutex` is a shim primitive), so every interleaving of
+//! concurrent inserts and lookups is checked for deadlock and for snapshot
+//! coherence.
 //!
 //! CI floor: at least 1,000 distinct clean schedules, pinned seeds.
 
@@ -16,13 +16,15 @@ fn cfg() -> ModelConfig {
     ModelConfig { max_schedules: 1_500, random_iters: 200, ..ModelConfig::default() }
 }
 
-/// Two threads populate disjoint fingerprints on a 2-shard cache. Whatever
-/// the interleaving: every entry lands, every lookup hits, and the counter
-/// snapshot is exact after join.
+/// Two threads populate disjoint fingerprints on one cache while a third
+/// takes counter snapshots. Whatever the interleaving: every entry lands,
+/// every lookup hits, every snapshot mid-run is coherent (taken under the
+/// one lock, it never counts a hit on an entry it does not also count) and
+/// monotone, and the snapshot is exact after join.
 #[test]
 fn cache_shard_insert_get_model_is_clean() {
     let report = check(&cfg(), || {
-        let cache = Arc::new(EmbeddingCache::with_shards(8, 2));
+        let cache = Arc::new(EmbeddingCache::new(8, 0));
         let c1 = Arc::clone(&cache);
         let t1 = spawn_named("insert-1", move || {
             c1.insert(Fingerprint(1), vec![1.0]);
@@ -37,8 +39,19 @@ fn cache_shard_insert_get_model_is_clean() {
             assert_eq!(c2.get(Fingerprint(2)), Some(vec![2.0]), "own insert must hit");
             assert_eq!(c2.get(Fingerprint(4)), Some(vec![4.0]), "own insert must hit");
         });
+        let c3 = Arc::clone(&cache);
+        let t3 = spawn_named("stats", move || {
+            let a = c3.stats();
+            let b = c3.stats();
+            for s in [a, b] {
+                assert_eq!((s.misses, s.capacity), (0, 8), "{s:?}");
+                assert!(s.hits as usize <= s.entries && s.entries <= 4, "incoherent {s:?}");
+            }
+            assert!(a.hits <= b.hits && a.entries <= b.entries, "not monotone: {a:?} {b:?}");
+        });
         let _ = t1.join();
         let _ = t2.join();
+        let _ = t3.join();
         for fp in 1..=4u128 {
             assert_eq!(cache.get(Fingerprint(fp)), Some(vec![fp as f32]));
         }
@@ -63,7 +76,7 @@ fn cache_shard_insert_get_model_is_clean() {
 #[test]
 fn cache_same_key_write_race_model_is_clean() {
     let report = check(&cfg(), || {
-        let cache = Arc::new(EmbeddingCache::with_shards(4, 2));
+        let cache = Arc::new(EmbeddingCache::new(4, 0));
         let ok = |v: &Option<Vec<f32>>| match v {
             None => true,
             Some(e) => *e == vec![1.0, 1.0] || *e == vec![2.0, 2.0],
@@ -90,7 +103,7 @@ fn cache_same_key_write_race_model_is_clean() {
         let _ = t3.join();
         assert_eq!(cache.len(), 1, "same-key race must not duplicate the entry");
         let got = cache.get(Fingerprint(9));
-        assert!(got.is_some() && ok(&got), "torn value escaped the shard lock: {got:?}");
+        assert!(got.is_some() && ok(&got), "torn value escaped the cache lock: {got:?}");
     });
     report.assert_clean();
     assert!(

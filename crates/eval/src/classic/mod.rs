@@ -1,6 +1,6 @@
 //! Classical trajectory similarity measures used in the efficiency study
-//! (§IV-H, Fig. 10): DTW [30], LCSS [28], discrete Fréchet distance [31],
-//! and EDR [29]. All are `O(L²)` dynamic programs over point sequences —
+//! (§IV-H, Fig. 10): DTW \[30\], LCSS \[28\], discrete Fréchet distance \[31\],
+//! and EDR \[29\]. All are `O(L²)` dynamic programs over point sequences —
 //! exactly the cost profile the paper contrasts with `O(d)` embedding
 //! distances.
 

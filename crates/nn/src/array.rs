@@ -375,7 +375,7 @@ pub fn matmul_bt_into_ow(a: &Array, b: &Array, out: &mut Array) {
 }
 
 /// `out = a @ b^T` without materializing the transpose. Shards rows across
-/// threads above [`PARALLEL_FLOPS`], like [`matmul`].
+/// threads above `PARALLEL_FLOPS`, like [`matmul`].
 pub fn matmul_bt(a: &Array, b: &Array) -> Array {
     let mut out = Array::zeros(a.rows, b.rows);
     matmul_bt_into(a, b, &mut out);
@@ -437,7 +437,7 @@ pub(crate) fn matmul_bt_rows_impl<const OW: bool>(
 
 /// `out += a^T @ b` without materializing the transpose. `out` is
 /// `(a.cols, b.cols)` and accumulated into; shards output rows (columns of
-/// `a`) across threads above [`PARALLEL_FLOPS`], like the other two kernels.
+/// `a`) across threads above `PARALLEL_FLOPS`, like the other two kernels.
 pub fn matmul_at_into(a: &Array, b: &Array, out: &mut Array) {
     assert_eq!(a.rows, b.rows, "matmul_at shape mismatch {:?}^T @ {:?}", a.shape(), b.shape());
     let (m, k, n) = (a.cols, a.rows, b.cols);

@@ -492,7 +492,7 @@ impl<'s> Graph<'s> {
     }
 
     /// Switch dropout on or off for subsequently recorded ops. The auditor
-    /// flags [`Op::Dropout`] nodes left on an eval-mode tape.
+    /// flags [`OpKind::Dropout`] nodes left on an eval-mode tape.
     pub fn set_train(&mut self, train: bool) {
         self.train = train;
     }
@@ -585,7 +585,7 @@ impl<'s> Graph<'s> {
     }
 
     /// Detach `x` from the gradient flow: the returned node carries the same
-    /// value but is recorded as a fresh [`Op::Input`] leaf, so no gradient
+    /// value but is recorded as a fresh [`OpKind::Input`] leaf, so no gradient
     /// flows back into `x`'s subgraph through it (the stop-gradient of
     /// EMA/target-tower objectives). The `(source, detached)` pair is logged
     /// on the tape so [`crate::symbolic`]'s gradient-flow audit can check the
@@ -916,7 +916,7 @@ impl<'s> Graph<'s> {
         self.push(v, Op::GatherRows(x, indices))
     }
 
-    /// Select a single row as a `(1, d)` matrix (e.g. [CLS] pooling).
+    /// Select a single row as a `(1, d)` matrix (e.g. `[CLS]` pooling).
     pub fn select_row(&mut self, x: NodeId, row: usize) -> NodeId {
         self.gather_rows(x, Arc::new(vec![row as u32]))
     }

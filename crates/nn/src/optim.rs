@@ -1,5 +1,5 @@
 //! AdamW optimizer (decoupled weight decay) — the paper trains with AdamW
-//! [16] at lr 2e-4, warm-up + cosine annealing (see [`crate::schedule`]).
+//! \[16\] at lr 2e-4, warm-up + cosine annealing (see [`crate::schedule`]).
 
 use crate::array::Array;
 use crate::params::{GradStore, ParamStore};

@@ -17,7 +17,7 @@
 //! * an **abstract value domain** — [`AbsVal`], an interval × finiteness
 //!   lattice (sign is the interval's relation to zero) seeded from the
 //!   anchor traces and widened, with a per-`OpKind` transfer function
-//!   ([`abs_transfer`]) that flags statically reachable numerical hazards:
+//!   (`abs_transfer`) that flags statically reachable numerical hazards:
 //!   `log` of a possibly-zero softmax probability, division by a
 //!   possibly-zero normalizer, `exp` of an unbounded pre-activation.
 //!

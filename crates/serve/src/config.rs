@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use start_ann::{HnswConfig, HnswConfigError, Precision};
+use start_ann::{HnswConfig, HnswConfigError};
 
 /// Which kNN backend the router builds behind its `index`/`knn`
 /// endpoints. Swapping kinds changes latency/recall economics only — the
@@ -26,13 +26,15 @@ pub enum IndexKind {
     Hnsw(HnswConfig),
 }
 
-/// Tunables for each replica of a [`crate::router::Router`]; `index` and
-/// `precision` configure the router's one kNN index.
+/// Tunables for each replica of a [`crate::router::Router`]; `index`
+/// configures the router's one kNN index.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Encode worker threads (minimum 1).
     pub workers: usize,
-    /// Flush a micro-batch at this many requests.
+    /// Flush a micro-batch at this many requests. A batch of up to 64
+    /// requests runs one TPE-GAT road forward; a batch of `n > 64` runs
+    /// ⌈n/64⌉, one per encoder chunk.
     pub max_batch: usize,
     /// Flush a micro-batch this long after its first request is picked up,
     /// even if it is not full. Zero disables batching-by-wait.
@@ -40,20 +42,14 @@ pub struct ServeConfig {
     /// Bounded submission-queue capacity; `submit` blocks and `try_submit`
     /// fails once this many requests are pending.
     pub queue_cap: usize,
-    /// Total entries across the shared embedding cache; 0 disables caching.
+    /// Capacity of each replica's embedding cache, in entries (exact); 0
+    /// disables caching.
     pub cache_capacity: usize,
-    /// Clamp over-length trajectories to the model's `max_len` (the
-    /// offline default). When false, over-length submissions are rejected
-    /// with a typed error instead.
-    pub clamp: bool,
     /// Backend of the router's one kNN index behind `index`/`knn` (brute
     /// force by default). Not per replica: a router holds one index.
+    /// A reduced-precision index is an HNSW one with
+    /// [`HnswConfig::precision`] set.
     pub index: IndexKind,
-    /// Storage precision of the router's one index when it is brute force
-    /// — the serving tier's reduced-precision path ([`Precision::F16`]
-    /// halves resident bytes, [`Precision::I8`] cuts them ~4×, both at
-    /// near-exact recall). HNSW backends carry their own [`HnswConfig::precision`].
-    pub precision: Precision,
     /// Test hook: stall each worker this long before it starts draining,
     /// making queue-full conditions deterministic.
     #[doc(hidden)]
@@ -68,9 +64,7 @@ impl Default for ServeConfig {
             max_wait: Duration::from_millis(2),
             queue_cap: 256,
             cache_capacity: 4096,
-            clamp: true,
             index: IndexKind::default(),
-            precision: Precision::F32,
             worker_warmup: None,
         }
     }
@@ -171,18 +165,8 @@ impl ServeConfigBuilder {
         self
     }
 
-    pub fn clamp(mut self, clamp: bool) -> Self {
-        self.cfg.clamp = clamp;
-        self
-    }
-
     pub fn index(mut self, index: IndexKind) -> Self {
         self.cfg.index = index;
-        self
-    }
-
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.cfg.precision = precision;
         self
     }
 

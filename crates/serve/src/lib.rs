@@ -7,7 +7,7 @@
 //! trajectory → same replica, across restarts), behind one
 //! `submit`/`knn`/`index`/`publish`/`stats` surface. Each replica is a
 //! bounded submission queue, encode workers that micro-batch requests
-//! (flush on `max_batch` or `max_wait`) and a sharded LRU
+//! (flush on `max_batch` or `max_wait`) and an exact-capacity LRU
 //! [`EmbeddingCache`](start_core::encoder::EmbeddingCache) pinned to the
 //! current model-version epoch. The router itself owns the one kNN index
 //! behind the [`VectorIndex`] seam — the exact brute-force

@@ -8,25 +8,24 @@
 //! A request's shard is a pure function of its content: the 128-bit
 //! trajectory [`Fingerprint`](start_core::Fingerprint) from
 //! [`fingerprint_view`], folded through [`fold_fingerprint`] (a nonlinear
-//! 64-bit finalizer — see its docs for why raw FNV bits would alias the
-//! cache's internal sharding) and reduced mod the replica count. The same
-//! trajectory therefore always lands on the same replica — across router
-//! restarts,
+//! 64-bit finalizer — see its docs for why raw FNV bits would skew
+//! placement) and reduced mod the replica count. The same trajectory
+//! therefore always lands on the same replica — across router restarts,
 //! across differing per-replica worker counts, across processes — which is
 //! what makes per-replica caches *partitions* of the working set rather
-//! than copies: each replica's sharded-LRU [`EmbeddingCache`] holds only
-//! its own shard's trajectories, so aggregate cache capacity scales
-//! linearly with the replica count with zero duplication. (The fingerprint
-//! covers the view as submitted; config-dependent clamping happens later,
-//! inside the replica, and does not influence placement.)
+//! than copies: each replica's LRU [`EmbeddingCache`] holds only its own
+//! shard's trajectories, so aggregate cache capacity scales linearly with
+//! the replica count with zero duplication. (The fingerprint covers the
+//! view as submitted; the encoder clamps it to `max_len` later, inside the
+//! replica, so clamping does not influence placement.)
 //!
 //! ## One kNN index
 //!
-//! The router owns the one kNN index (`cfg.serve.index` at
-//! `cfg.serve.precision`) and the version tag of every entry, behind one
-//! `RwLock`. Replicas only encode: an insert or a query takes the one lock
-//! and touches the one index, so a kNN answer is the same bits whatever
-//! the replica count — exact or HNSW alike.
+//! The router owns the one kNN index (`cfg.serve.index`) and the version
+//! tag of every entry, behind one `RwLock`. Replicas only encode: an
+//! insert or a query takes the one lock and touches the one index, so a
+//! kNN answer is the same bits whatever the replica count — exact or HNSW
+//! alike.
 //!
 //! ## Hot swap
 //!
@@ -61,16 +60,15 @@ use crate::store::{EmbeddingStore, Neighbor};
 /// through the 64-bit murmur3 finalizer.
 ///
 /// Raw fingerprint bits must NOT be used here. Bit 0 of an FNV-1a stream
-/// is a *linear* function of the input bytes (xor preserves parity and the
-/// odd-prime multiply never changes it), and the fingerprint's two halves
-/// feed identical bytes — their parities differ only by a constant. Shard
-/// by raw low (or high) bits and every trajectory on a replica shares a
-/// parity class, which is exactly the bit the replica's sharded-LRU
-/// [`EmbeddingCache`](start_core::EmbeddingCache) uses to pick an internal
-/// shard: half (at 2 replicas; more at 4) of each replica's cache slots
-/// would sit permanently empty. The finalizer's shift-xor-multiply rounds
-/// make every output bit a nonlinear mix of all 128 input bits, so replica
-/// selection is independent of the cache's internal sharding.
+/// is a *linear* function of the input bytes — the parity of their low
+/// bits, since xor preserves parity and the odd-prime multiply never
+/// changes it — and the fingerprint's two halves feed identical bytes, so
+/// their parities differ only by a constant. Place by raw low (or high)
+/// bits and the replica becomes a parity of the content: inputs that share
+/// a parity class all land on one replica while another sits idle with an
+/// empty cache. The finalizer's shift-xor-multiply rounds make every
+/// output bit a nonlinear mix of all 128 input bits, so placement stays
+/// balanced whatever the inputs' parities.
 pub fn fold_fingerprint(fp: start_core::Fingerprint) -> u64 {
     let mut x = (fp.0 >> 64) as u64 ^ fp.0 as u64;
     x ^= x >> 33;
@@ -164,9 +162,7 @@ impl Router {
         let n = cfg.replicas.max(1);
         let dim = model.cfg.dim;
         let index: Box<dyn VectorIndex> = match &cfg.serve.index {
-            IndexKind::BruteForce => {
-                Box::new(EmbeddingStore::with_precision(dim, cfg.serve.precision))
-            }
+            IndexKind::BruteForce => Box::new(EmbeddingStore::new(dim)),
             IndexKind::Hnsw(hnsw) => Box::new(Hnsw::new(dim, hnsw.clone())),
         };
         let index = RwLock::new(IndexState { index, versions: HashMap::new() });
@@ -404,10 +400,9 @@ mod tests {
     use super::fold_fingerprint;
     use start_core::Fingerprint;
 
-    /// Regression for the shard/cache aliasing bug: FNV fingerprints whose
-    /// low bits share a parity class (exactly what `% replicas` routing
-    /// produces) must still fold to well-mixed values, or each replica's
-    /// sharded-LRU cache runs at a fraction of its configured capacity.
+    /// FNV fingerprints whose low bits share a parity class must still fold
+    /// to well-mixed values, or `% replicas` placement puts them all on the
+    /// same replicas and leaves the others idle.
     #[test]
     fn fold_decorrelates_constant_parity_inputs() {
         let mut low_bit_ones = 0usize;

@@ -47,7 +47,7 @@ use std::thread::JoinHandle;
 use start_sync::atomic::{AtomicU64, Ordering};
 use start_sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use start_core::encoder::{EmbeddingCache, EncodeError, EncodeOptions};
 use start_core::{CacheStats, Embedding, StartModel};
@@ -151,10 +151,8 @@ impl ModelSlot {
         replicas: usize,
     ) -> Self {
         let cache = || {
-            (cfg.cache_capacity > 0).then(|| {
-                // 8 shards, as `EmbeddingCache::new` uses.
-                Arc::new(EmbeddingCache::with_shards_at_epoch(cfg.cache_capacity, 8, version))
-            })
+            (cfg.cache_capacity > 0)
+                .then(|| Arc::new(EmbeddingCache::new(cfg.cache_capacity, version)))
         };
         Self {
             version,
@@ -253,7 +251,7 @@ impl EmbeddingService {
                 let r = Arc::clone(&replica);
                 std::thread::Builder::new()
                     .name(format!("start-serve-{i}"))
-                    .spawn(move || worker_loop(&r, i))
+                    .spawn(move || worker_loop(&r))
                     .unwrap_or_else(|e| panic!("failed to spawn encode worker {i}: {e}"))
             })
             .collect();
@@ -328,9 +326,12 @@ impl EmbeddingService {
         view: TrajView,
         block: bool,
     ) -> Result<EmbeddingHandle, ServeError> {
-        if let Err(e) = self.validate(&view) {
+        // Reject an empty view at the door, so one bad submission can never
+        // fail the micro-batch it would have ridden in. An over-long view is
+        // clamped by the encoder, as offline.
+        if view.is_empty() {
             self.reject();
-            return Err(ServeError::Invalid(e));
+            return Err(ServeError::Invalid(EncodeError::EmptyView { index: 0 }));
         }
         let (tx, rx) = mpsc::channel();
         let mut st = self.lock();
@@ -364,19 +365,6 @@ impl EmbeddingService {
         drop(st);
         self.not_empty.notify_one();
         Ok(EmbeddingHandle { rx })
-    }
-
-    /// Reject malformed requests at the door, so one bad submission can
-    /// never fail the micro-batch it would have ridden in.
-    fn validate(&self, view: &TrajView) -> Result<(), EncodeError> {
-        if view.is_empty() {
-            return Err(EncodeError::EmptyView { index: 0 });
-        }
-        let max_len = read_slot(&self.slot).model.cfg.max_len;
-        if view.len() > max_len && !self.cfg.clamp {
-            return Err(EncodeError::TooLong { index: 0, len: view.len(), max_len });
-        }
-        Ok(())
     }
 }
 
@@ -438,43 +426,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// `START_SERVE_LOG` enables the periodic stats line; a positive float
-/// value overrides the 1 s default period.
-fn log_interval() -> Option<Duration> {
-    std::env::var("START_SERVE_LOG").ok().map(|v| {
-        let secs = v.parse::<f64>().ok().filter(|s| *s > 0.0).unwrap_or(1.0);
-        Duration::from_secs_f64(secs)
-    })
-}
-
-fn log_stats_line(replica: &EmbeddingService) {
-    let s = replica.stats();
-    eprintln!(
-        "[start-serve] v{} submitted={} completed={} failed={} rejected={} batches={} \
-         mean_batch={:.1} depth={} wait_p50_us={} wait_p99_us={} enc_p50_us={} enc_p99_us={} \
-         cache_hit_rate={:.3}",
-        s.cache.epoch,
-        s.submitted,
-        s.completed,
-        s.failed,
-        s.rejected,
-        s.batches,
-        s.mean_batch_size(),
-        s.queue_depth,
-        s.queue_wait.p50_us,
-        s.queue_wait.p99_us,
-        s.encode.p50_us,
-        s.encode.p99_us,
-        s.cache.hit_rate(),
-    );
-}
-
-fn worker_loop(replica: &EmbeddingService, worker_id: usize) {
+fn worker_loop(replica: &EmbeddingService) {
     if let Some(warmup) = replica.cfg.worker_warmup {
         std::thread::sleep(warmup);
     }
-    let log_every = if worker_id == 0 { log_interval() } else { None };
-    let mut last_log = Instant::now();
     // Each worker owns one tape buffer pool for its whole life, so steady
     // state encodes allocate nothing.
     let mut pool = BufferPool::default();
@@ -496,12 +451,7 @@ fn worker_loop(replica: &EmbeddingService, worker_id: usize) {
             let cache = slot.caches[replica.shard].clone();
             (slot.version, Arc::clone(&slot.model), cache, slot.in_flight.enter())
         };
-        let opts = EncodeOptions {
-            threads: 1,
-            chunk: replica.cfg.max_batch.max(1),
-            clamp: replica.cfg.clamp,
-            cache,
-        };
+        let opts = EncodeOptions { threads: 1, cache };
         let taken = std::mem::take(&mut pool);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             model.encoder().encode_views_pooled(&views, &opts, taken)
@@ -546,12 +496,6 @@ fn worker_loop(replica: &EmbeddingService, worker_id: usize) {
                     replica.failed.fetch_add(1, Ordering::Release);
                 }
                 return;
-            }
-        }
-        if let Some(period) = log_every {
-            if last_log.elapsed() >= period {
-                last_log = Instant::now();
-                log_stats_line(replica);
             }
         }
     }

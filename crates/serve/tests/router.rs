@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use start_core::encoder::{fingerprint_view, EncodeOptions};
-use start_core::{pretrain_with_publish, PretrainConfig, StartConfig, StartModel};
+use start_core::{clamp_view, pretrain_with_publish, PretrainConfig, StartConfig, StartModel};
 use start_nn::PublishCadence;
 use start_roadnet::synth::{generate_city, City, CityConfig};
 use start_serve::{
@@ -65,8 +65,8 @@ proptest! {
     /// A trajectory's shard is a pure content function: stable across
     /// router instances and per-replica worker counts, always below the
     /// replica count, and exactly the folded 128-bit fingerprint mod
-    /// replicas (folded so replica selection stays independent of the
-    /// cache's internal low-bit sharding — see `fold_fingerprint`).
+    /// replicas (folded so placement is not a parity of the content — see
+    /// `fold_fingerprint`).
     #[test]
     fn shard_assignment_is_pure_and_stable(
         idx in 0..24usize,
@@ -116,6 +116,28 @@ fn router_encode_is_bitwise_the_encoder_answer_for_any_replica_count() {
 /// the embeddings are encoded on different shards but land in the one
 /// router index, so ids, order and distance bits all match — including
 /// the `(distance, id)` tie-break.
+/// Every encode clamps to `max_len`, served or offline: a view longer than
+/// the model takes is answered with bitwise the offline encode of its
+/// clamped prefix.
+#[test]
+fn overlong_view_is_served_as_its_clamped_prefix() {
+    let fix = fixture();
+    let max_len = fix.model.cfg.max_len;
+    let one = TrajView::identity(&fix.data[0]);
+    let mut view = one.clone();
+    while view.len() <= max_len {
+        view.roads.extend_from_slice(&one.roads);
+        view.times.extend_from_slice(&one.times);
+        view.masked.extend_from_slice(&one.masked);
+    }
+    let clamped = [clamp_view(view.clone(), max_len)];
+    let expected = fix.model.encoder().encode_views(&clamped, &EncodeOptions::default()).unwrap();
+    let router = Router::start(Arc::clone(&fix.model), router_config(2, ServeConfig::default()));
+    let got = router.submit_view(view).unwrap().wait().unwrap();
+    assert_bits_eq(&got, &expected[0], "over-long view");
+    router.shutdown();
+}
+
 #[test]
 fn router_knn_matches_the_single_service_bitwise() {
     let fix = fixture();

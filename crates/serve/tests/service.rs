@@ -175,22 +175,6 @@ fn empty_submission_is_rejected_at_the_door() {
 }
 
 #[test]
-fn overlong_submission_is_rejected_when_clamping_is_off() {
-    let fix = fixture();
-    let service = one_replica(ServeConfig::builder().clamp(false).build().unwrap());
-    let max_len = fix.model.cfg.max_len;
-    let mut view = TrajView::identity(&fix.data[0]);
-    while view.roads.len() <= max_len {
-        view.roads.extend_from_slice(&TrajView::identity(&fix.data[0]).roads);
-        view.times.extend_from_slice(&TrajView::identity(&fix.data[0]).times);
-        view.masked.extend_from_slice(&TrajView::identity(&fix.data[0]).masked);
-    }
-    let len = view.roads.len();
-    let err = service.submit_view(view).unwrap_err();
-    assert_eq!(err, ServeError::Invalid(EncodeError::TooLong { index: 0, len, max_len }));
-}
-
-#[test]
 fn worker_panic_is_typed_and_poisons_the_service() {
     let fix = fixture();
     let service = one_replica(ServeConfig::builder().workers(1).cache_capacity(0).build().unwrap());

@@ -47,7 +47,7 @@ impl std::fmt::Display for Site {
 }
 
 /// Proof that an acquisition was pushed on the held stack; returned by
-/// [`on_acquire`], consumed by [`on_release`].
+/// `on_acquire`, consumed by `on_release`.
 pub struct Token {
     class: Site,
 }
