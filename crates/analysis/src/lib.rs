@@ -1,10 +1,10 @@
 //! Syntactic workspace lints — repo invariants clippy cannot express.
 //!
-//! Twelve rules, run by `cargo run -p start-analysis -- lint` (and CI):
+//! Thirteen rules, run by `cargo run -p start-analysis -- lint` (and CI):
 //!
 //! 1. **no-panic-lib**: no `.unwrap()` / `.expect(` in non-test library code
-//!    of `crates/nn`, `crates/core`, `crates/baselines`, `crates/serve`,
-//!    `crates/ann`.
+//!    of the [`PANIC_FREE_CRATES`]: `nn`, `core`, `baselines`, `serve`,
+//!    `ann`, `sync`, `traj` and `roadnet`.
 //!    Test modules (`#[cfg(test)]`) and `tests/` trees are exempt; a
 //!    deliberate site can carry a `// lint-ok: <reason>` justification on
 //!    the same line.
@@ -71,6 +71,12 @@
 //!     `WarmupCosine` and reads no `audit_enabled` ([`TRAIN_LOOP_TOKENS`]):
 //!     every model trains through `start_nn::fit`, so a hand-copied epoch
 //!     loop cannot grow back. No escape marker.
+//! 13. **one-switch-table**: no `env::var`/`env::var_os` read of a
+//!     `START_*` variable in the non-test code of any crate library, the
+//!     root facade or the examples, except the switch table
+//!     [`SWITCH_TABLE`] and the bench crate (`START_SCALE` sizes the
+//!     experiments). Every runtime switch is parsed once, by one grammar,
+//!     in that table. No escape marker.
 //!
 //! The scanner is line-based with a small state machine that strips string
 //! literals and comments before matching, so occurrences inside strings,
@@ -101,7 +107,8 @@ impl fmt::Display for Lint {
 }
 
 /// Crates whose library code must stay panic-free (rule 1).
-pub const PANIC_FREE_CRATES: &[&str] = &["nn", "core", "baselines", "serve", "ann", "sync"];
+pub const PANIC_FREE_CRATES: &[&str] =
+    &["nn", "core", "baselines", "serve", "ann", "sync", "traj", "roadnet"];
 
 // ---------------------------------------------------------------------------
 // Line scanner
@@ -450,6 +457,44 @@ pub fn lint_one_train_loop(file: &str, source: &str) -> Vec<Lint> {
                 line: n + 1,
                 rule: "one-train-loop",
                 message: format!("`{token}` in a model crate: train through `start_nn::fit`"),
+            });
+        }
+    }
+    lints
+}
+
+// ---------------------------------------------------------------------------
+// Rule 13: START_* switches are read only by the switch table
+// ---------------------------------------------------------------------------
+
+/// The one file allowed to read `START_*` environment variables (rule 13).
+pub const SWITCH_TABLE: &str = "crates/sync/src/switches.rs";
+
+/// Flag `env::var("START_` / `env::var_os("START_` reads outside
+/// `#[cfg(test)]` code. The driver never feeds this rule [`SWITCH_TABLE`]
+/// or `crates/bench`.
+pub fn lint_switch_reads(file: &str, source: &str) -> Vec<Lint> {
+    let mut lints = Vec::new();
+    let mut block_depth = 0usize;
+    let mut in_str = false;
+    let mut tracker = TestModTracker::default();
+    for (n, raw) in source.lines().enumerate() {
+        let (code, _) = split_code_comment(raw, &mut block_depth, &mut in_str);
+        let in_test = tracker.line_is_test(&code);
+        // Literal contents are blanked in `code`, so the call is found there
+        // and its `"START_` argument in the raw line.
+        let reads_env = code.contains("env::var(") || code.contains("env::var_os(");
+        let names_switch =
+            raw.contains("env::var(\"START_") || raw.contains("env::var_os(\"START_");
+        if !in_test && reads_env && names_switch {
+            lints.push(Lint {
+                file: file.to_string(),
+                line: n + 1,
+                rule: "one-switch-table",
+                message: format!(
+                    "`START_*` variable read outside the switch table; add the switch to \
+                     `{SWITCH_TABLE}` and read it through `start_sync::switches()`"
+                ),
             });
         }
     }
@@ -1034,6 +1079,10 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Lint>> {
         let source = std::fs::read_to_string(&file)?;
         lints.extend(lint_config_literal(&label, &source));
         lints.extend(lint_stale_deprecated(&label, &source));
+        // Rule 13 covers the same trees, minus the table and the benches.
+        if label != SWITCH_TABLE && !label.starts_with("crates/bench/") {
+            lints.extend(lint_switch_reads(&label, &source));
+        }
     }
 
     // Rules 6–8 cover every library tree that could take a concurrency
@@ -1701,6 +1750,33 @@ mod tests {
         let shim = "}; // sync-ok: the shim wraps std\n";
         assert_eq!(lint_stale_escapes("lib.rs", shim, &[]).len(), 1);
         assert!(lint_stale_escapes("lib.rs", shim, &["sync-ok:"]).is_empty());
+    }
+
+    #[test]
+    fn switch_reads_outside_the_table_are_flagged() {
+        let src = concat!(
+            "fn on() -> bool {\n",
+            "    matches!(std::env::var(\"START_FAST\"), Ok(v) if v == \"1\")\n",
+            "}\n",
+            "fn os() -> bool { env::var_os(\"START_SLOW\").is_some() }\n",
+            "fn other() -> bool { std::env::var(\"HOME\").is_ok() }\n",
+            "// std::env::var(\"START_DOC\") in a comment\n",
+            "fn s() -> &'static str { \"std::env::var(\\\"START_X\\\")\" }\n",
+            "#[cfg(test)]\n",
+            "mod tests {\n",
+            "    fn t() { std::env::set_var(\"START_FAST\", \"1\"); std::env::var(\"START_FAST\"); }\n",
+            "}\n",
+        );
+        let lints = lint_switch_reads("crates/nn/src/x.rs", src);
+        assert_eq!(lints.iter().map(|l| l.line).collect::<Vec<_>>(), vec![2, 4], "{lints:?}");
+        assert!(lints.iter().all(|l| l.rule == "one-switch-table"));
+    }
+
+    #[test]
+    fn the_switch_table_reads_the_environment_once() {
+        let root = workspace_root();
+        let table = std::fs::read_to_string(root.join(SWITCH_TABLE)).expect("switch table");
+        assert_eq!(lint_switch_reads(SWITCH_TABLE, &table).len(), 1);
     }
 
     #[test]

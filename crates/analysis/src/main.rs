@@ -76,7 +76,7 @@ fn run_lint() {
     };
 
     if lints.is_empty() {
-        println!("start-analysis: workspace clean ({} rules)", 12);
+        println!("start-analysis: workspace clean ({} rules)", 13);
         return;
     }
     for lint in &lints {

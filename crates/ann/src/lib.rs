@@ -17,8 +17,10 @@
 //!   ~64 MB (f32) or ~17 MB (int8) with no per-row allocation.
 //! - [`TopK`] — bounded max-heap k-smallest selection with the workspace's
 //!   deterministic tie-break (distance, then smaller id), shared by the
-//!   brute-force scan and the HNSW result stage so both backends rank ties
-//!   identically.
+//!   brute-force scan, the HNSW result stage and the evaluation scans
+//!   (`start_eval::metrics`), so every exact ranking breaks ties alike.
+//! - [`dist2`] — the one exact squared-distance kernel: the f32 store rows,
+//!   `start_core::euclidean` and the evaluation scans all sum through it.
 //!
 //! Everything here is deterministic: HNSW level draws come from a seeded
 //! SplitMix64, heaps order by `(f32::total_cmp, id)`, and no iteration
@@ -76,6 +78,16 @@ pub fn check_vector(dim: usize, v: &[f32]) -> Result<(), AnnError> {
         Some(index) => Err(AnnError::NonFinite { index }),
         None => Ok(()),
     }
+}
+
+/// Squared Euclidean distance, summed left to right in `f32`: the one exact
+/// distance kernel. Exact scans rank by this value, not by its `sqrt`,
+/// because `sqrt` can round two distinct squared distances to one and so
+/// invent a tie.
+#[inline]
+pub fn dist2(a: &[f32], b: &[f32]) -> f32 {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
 /// The capability contract of a kNN backend.

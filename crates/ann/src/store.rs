@@ -7,9 +7,11 @@
 //! higher layers (the HNSW index) tombstone instead of compacting, which
 //! keeps row ids stable for the life of the store.
 //!
-//! Reduced precision comes in two flavours. `F16` stores IEEE binary16
+//! Reduced precision comes in two flavours, both opt-in (the serving
+//! router's brute-force index is exact f32; an HNSW index takes its
+//! precision from `HnswConfig`). `F16` stores IEEE binary16
 //! (round-to-nearest-even) for a 2× memory cut at ~3 decimal digits of
-//! per-component accuracy — the serving default, because kNN recall is
+//! per-component accuracy; its kNN recall in the `bench_search` sweep is
 //! statistically indistinguishable from f32. `I8` is per-row symmetric
 //! int8: each row stores `round(x/s)` in `[-127, 127]` with scale
 //! `s = max|x| / 127`, a 4× cut with a bounded distance error. Both
@@ -234,9 +236,9 @@ impl VectorStore {
 
     /// Squared Euclidean distance from `query` to stored row `row`.
     ///
-    /// The f32 path accumulates in the same sequential order as the
-    /// workspace `euclidean` kernel, so `dist2(...).sqrt()` is bit-for-bit
-    /// the brute-force distance — backends agree on ties exactly.
+    /// The f32 path is the shared [`crate::dist2`] kernel, so
+    /// `dist2(...).sqrt()` is bit-for-bit `start_core::euclidean` and every
+    /// backend agrees on ties exactly.
     pub fn dist2(&self, row: u32, query: &[f32]) -> f32 {
         debug_assert_eq!(query.len(), self.dim);
         let row = row as usize;
@@ -244,8 +246,7 @@ impl VectorStore {
         let offset = (row % self.rows_per_chunk) * self.dim;
         match &self.arena {
             Arena::F32(chunks) => {
-                let stored = &chunks[chunk_idx][offset..offset + self.dim];
-                stored.iter().zip(query).map(|(x, y)| (x - y) * (x - y)).sum::<f32>()
+                crate::dist2(&chunks[chunk_idx][offset..offset + self.dim], query)
             }
             Arena::F16(chunks) => {
                 let stored = &chunks[chunk_idx][offset..offset + self.dim];
@@ -299,14 +300,15 @@ impl VectorStore {
         }
     }
 
-    /// Resident bytes of the vector data (chunks + scales), for reporting.
+    /// Bytes of the live rows (plus one f32 scale per int8 row), for
+    /// reporting the precision trade. The arena commits whole chunks, so
+    /// its allocation is up to one chunk (~1 MiB) larger.
     pub fn data_bytes(&self) -> usize {
+        let rows = self.len * self.dim;
         match &self.arena {
-            Arena::F32(chunks) => chunks.len() * self.rows_per_chunk * self.dim * 4,
-            Arena::F16(chunks) => chunks.len() * self.rows_per_chunk * self.dim * 2,
-            Arena::I8 { chunks, scales } => {
-                chunks.len() * self.rows_per_chunk * self.dim + scales.len() * 4
-            }
+            Arena::F32(_) => rows * 4,
+            Arena::F16(_) => rows * 2,
+            Arena::I8 { scales, .. } => rows + scales.len() * 4,
         }
     }
 }
@@ -422,6 +424,25 @@ mod tests {
         }
         assert!(f.data_bytes() > (2 * h.data_bytes()).saturating_sub(f.data_bytes() / 8));
         assert!(h.data_bytes() * 2 <= f.data_bytes() + f.data_bytes() / 8);
+    }
+
+    /// Regression: the byte count once charged whole 1 MiB chunks, so a
+    /// small f16 or int8 store reported as many bytes as an f32 one.
+    #[test]
+    fn data_bytes_counts_the_live_rows() {
+        let dim = 64;
+        let v: Vec<f32> = (0..dim).map(|j| j as f32 * 0.1).collect();
+        let mut stores = [Precision::F32, Precision::F16, Precision::I8]
+            .map(|precision| VectorStore::new(dim, precision));
+        for store in &mut stores {
+            for _ in 0..100 {
+                store.push(&v);
+            }
+        }
+        let [f, h, q] = stores.map(|s| s.data_bytes());
+        assert_eq!(f, 100 * dim * 4);
+        assert_eq!(h * 2, f);
+        assert_eq!(q, 100 * dim + 100 * 4);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The encoder-decoder (reconstruction) baseline family of §IV-B:
-//! traj2vec [9], t2vec [8] and Trembr [7].
+//! traj2vec \[9\], t2vec \[8\] and Trembr \[7\].
 //!
 //! All three are RNN seq2seq autoencoders over road sequences; they differ
 //! in input handling and decoder targets:

@@ -3,11 +3,11 @@
 //! comparisons are apples-to-apples.
 //!
 //! - Encoder-decoder with reconstruction: [`GruSeq2Seq`] covering
-//!   traj2vec [9], t2vec [8] and Trembr [7];
+//!   traj2vec \[9\], t2vec \[8\] and Trembr \[7\];
 //! - Self-supervised sequence models: [`TransformerBaseline`] covering
-//!   Transformer (MLM) [11] and BERT [10];
-//! - Two-stage models: [`Pim`] (node2vec + RNN + mutual information) [6],
-//!   PIM-TF (the same objective on a Transformer) and Toast [5]
+//!   Transformer (MLM) \[11\] and BERT \[10\];
+//! - Two-stage models: [`Pim`] (node2vec + RNN + mutual information) \[6\],
+//!   PIM-TF (the same objective on a Transformer) and Toast \[5\]
 //!   (node2vec + MLM + trajectory discrimination), the latter two also via
 //!   [`TransformerBaseline`].
 //!

@@ -1,4 +1,4 @@
-//! PIM [6]: unsupervised path representation learning with mutual
+//! PIM \[6\]: unsupervised path representation learning with mutual
 //! information maximization — node2vec road embeddings feeding an RNN
 //! encoder trained so each path's global representation identifies its own
 //! local (per-road) states against other paths' (curriculum negative

@@ -1,5 +1,5 @@
-//! The self-attention baseline family of §IV-B: Transformer [11] (MLM),
-//! BERT [10] (MLM + segment-order discrimination), Toast [5] (node2vec
+//! The self-attention baseline family of §IV-B: Transformer \[11\] (MLM),
+//! BERT \[10\] (MLM + segment-order discrimination), Toast \[5\] (node2vec
 //! embeddings + MLM + trajectory discrimination) and PIM-TF (PIM's mutual
 //! information objective on a Transformer encoder).
 //!

@@ -14,8 +14,10 @@
 //!    (asserted). The headline figure is this speedup, which the
 //!    acceptance floor requires to be ≥ 2×.
 //! 3. **service_cached** — a skewed request stream (each distinct
-//!    trajectory asked for ~4×) with the cache *on*, reporting the hit
-//!    rate and cached throughput.
+//!    trajectory asked for ~4×) with the cache *on*. One untimed pass over
+//!    the distinct set warms the cache first, so the timed figure measures
+//!    cached serving, not the first misses' encodes; the reported hit rate
+//!    is the timed phase's own.
 //! 4. **router scaling** — a fixed-size working set served at 1, 2 and 4
 //!    `Router` replicas, each replica's LRU cache sized at 40% of the
 //!    working set. Fingerprint sharding makes the per-replica caches
@@ -45,7 +47,7 @@ use std::time::Duration;
 
 use start_bench::sweep::{emit_result, run_sweep, SweepJob};
 use start_bench::{bj_mini, start_config, timed, Scale};
-use start_core::{EncodeOptions, StartModel};
+use start_core::{CacheStats, EncodeOptions, StartModel};
 use start_serve::{Router, RouterConfig, RouterStats, ServeConfig, ServiceStats};
 use start_traj::Trajectory;
 
@@ -55,8 +57,9 @@ struct Figures {
     service_secs: f64,
     cached_requests: usize,
     cached_secs: f64,
+    /// Hit rate of the timed cached phase alone (the warm-up excluded).
+    cached_hit_rate: f64,
     stats: ServiceStats,
-    cached_stats: ServiceStats,
 }
 
 impl Figures {
@@ -125,14 +128,20 @@ fn run(model: &Arc<StartModel>, requests: &[Trajectory]) -> Figures {
         }
     }
 
-    // 3. A skewed stream with the cache on: each distinct trajectory ~4×.
+    // 3. A skewed stream with the cache on: each distinct trajectory ~4×,
+    // timed after one untimed pass over the distinct set fills the cache.
     let distinct = (requests.len() / 4).max(1);
     let cached_stream: Vec<Trajectory> =
         (0..requests.len()).map(|i| requests[(i * 7919) % distinct].clone()).collect();
     let service = one_replica(model, serve_config(1, 4096));
+    service.encode(&requests[..distinct]).expect("cache warm-up encode");
+    let warm = only(service.stats()).cache;
     let (cached_out, cached_secs) =
         timed(|| service.encode(&cached_stream).expect("cached service encode"));
-    let cached_stats = only(service.shutdown());
+    let end = only(service.shutdown()).cache;
+    let cached_hit_rate =
+        CacheStats { hits: end.hits - warm.hits, misses: end.misses - warm.misses, ..end }
+            .hit_rate();
     for (out, t_idx) in cached_out.iter().zip((0..requests.len()).map(|i| (i * 7919) % distinct)) {
         let reference = &per_call_out[t_idx];
         assert!(
@@ -147,8 +156,8 @@ fn run(model: &Arc<StartModel>, requests: &[Trajectory]) -> Figures {
         service_secs: service_secs.as_secs_f64(),
         cached_requests: cached_stream.len(),
         cached_secs: cached_secs.as_secs_f64(),
+        cached_hit_rate,
         stats,
-        cached_stats,
     }
 }
 
@@ -168,9 +177,9 @@ fn print_figures(f: &Figures) {
         f.stats.mean_batch_size()
     );
     println!(
-        "  service (cache on)    : {:.2} req/s, hit rate {:.3}",
+        "  service (cache on)    : {:.2} req/s, timed-phase hit rate {:.3}",
         f.cached_rps(),
-        f.cached_stats.cache.hit_rate()
+        f.cached_hit_rate
     );
 }
 
@@ -512,7 +521,7 @@ fn main() {
     let _ = writeln!(json, "  \"cached\": {{");
     let _ = writeln!(json, "    \"requests\": {},", figs.cached_requests);
     let _ = writeln!(json, "    \"service_rps\": {:.2},", figs.cached_rps());
-    let _ = writeln!(json, "    \"hit_rate\": {:.3}", figs.cached_stats.cache.hit_rate());
+    let _ = writeln!(json, "    \"hit_rate\": {:.3}", figs.cached_hit_rate);
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"scaling\": [");
     for (i, p) in points.iter().enumerate() {

@@ -3,7 +3,8 @@
 //! goes through the unified [`crate::encoder::Encoder`] facade, which owns
 //! chunking and threading.
 
-/// Euclidean distance between two representation vectors.
+/// Euclidean distance between two representation vectors: the square root
+/// of the shared [`start_ann::dist2`] kernel.
 ///
 /// The lengths must match, and the contract holds in release builds too: a
 /// `debug_assert` here once let release-mode mismatches silently compute
@@ -14,7 +15,7 @@
 /// lengths are an internal invariant violation worth stopping for.
 pub fn euclidean(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "euclidean: length mismatch ({} vs {})", a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f32>().sqrt()
+    start_ann::dist2(a, b).sqrt()
 }
 
 #[cfg(test)]

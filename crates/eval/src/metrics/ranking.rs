@@ -1,5 +1,11 @@
 //! Ranking metrics for similarity search (§IV-C3): Mean Rank, Hit Ratio@k,
 //! and Precision for the k-nearest search task.
+//!
+//! Every scan ranks by the shared squared-distance kernel
+//! [`start_ann::dist2`] and selects through [`start_ann::TopK`], so the
+//! evaluation and the served index order neighbours, ties included, alike.
+
+use start_ann::{dist2, TopK};
 
 /// Rank (1-based) of the ground-truth item for each query, given embedding
 /// vectors and Euclidean distance: rank 1 means the truth is the nearest
@@ -14,21 +20,13 @@ pub fn truth_ranks(
         .enumerate()
         .map(|(q, qe)| {
             let t = truth(q);
-            let td = euclidean_sq(qe, &db_embs[t]);
+            let td = dist2(qe, &db_embs[t]);
             // Count database entries strictly closer than the truth.
-            let closer = db_embs
-                .iter()
-                .enumerate()
-                .filter(|(i, e)| *i != t && euclidean_sq(qe, e) < td)
-                .count();
+            let closer =
+                db_embs.iter().enumerate().filter(|(i, e)| *i != t && dist2(qe, e) < td).count();
             closer + 1
         })
         .collect()
-}
-
-#[inline]
-fn euclidean_sq(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
 /// Mean rank (MR), lower is better.
@@ -43,14 +41,14 @@ pub fn hit_ratio(ranks: &[usize], k: usize) -> f32 {
     ranks.iter().filter(|&&r| r <= k).count() as f32 / ranks.len() as f32
 }
 
-/// Indexes of the k nearest database entries for one query embedding.
+/// Indexes of the k nearest database entries for one query embedding,
+/// closest first; equal distances rank by the smaller index.
 pub fn knn_indices(query: &[f32], db_embs: &[Vec<f32>], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..db_embs.len()).collect();
-    idx.sort_by(|&a, &b| {
-        euclidean_sq(query, &db_embs[a]).total_cmp(&euclidean_sq(query, &db_embs[b]))
-    });
-    idx.truncate(k);
-    idx
+    let mut top = TopK::new(k);
+    for (i, e) in db_embs.iter().enumerate() {
+        top.push(i as u64, dist2(query, e));
+    }
+    top.into_sorted().into_iter().map(|n| n.id as usize).collect()
 }
 
 /// Precision of the k-nearest search task (§IV-D4b): overlap between the

@@ -8,8 +8,8 @@
 
 use std::fmt;
 
-/// Threshold (in multiply-adds) above which [`matmul`] shards work across
-/// threads with `crossbeam::scope`.
+/// Threshold (in multiply-adds) from which the matmul kernels shard output
+/// rows across threads with `crossbeam::scope` (see `dispatch_rows`).
 const PARALLEL_FLOPS: usize = 1 << 22;
 
 /// A dense row-major matrix of `f32`.
@@ -216,14 +216,26 @@ fn kernel_threads() -> usize {
         .max(&1)
 }
 
-/// Shard `m` output rows of width `n` across threads, running `body` on each
-/// contiguous chunk. All three matmul kernels funnel through here so the
-/// thread-count derivation and the chunk-size invariant live in one place.
-fn parallel_rows(out: &mut [f32], m: usize, n: usize, body: impl Fn(&mut [f32], usize) + Sync) {
+/// Run a matmul row kernel over `m` output rows of width `n` and inner
+/// dimension `k`: serially below `PARALLEL_FLOPS` multiply-adds (or under 8
+/// rows), else sharded into contiguous row chunks across threads. `body`
+/// gets each output chunk and its first row. This is the one dispatch rule
+/// of all three matmul kernels, so the threshold and the thread count live
+/// in one place.
+fn dispatch_rows(
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    body: impl Fn(&mut [f32], usize) + Sync,
+) {
+    if m * k * n < PARALLEL_FLOPS || m < 8 {
+        body(out, 0);
+        return;
+    }
     let threads = kernel_threads();
     let chunk = m.div_ceil(threads);
-    // chunks_mut(0) panics opaquely; fail with the actual dimensions instead
-    // (reachable only if a caller ever passes m == 0 or n == 0 rows here).
+    // chunks_mut(0) panics opaquely; fail with the actual dimensions instead.
     assert!(chunk * n > 0, "parallel matmul over an empty chunk ({m} rows x {n} cols)");
     crossbeam::scope(|s| {
         for (t, out_chunk) in out.chunks_mut(chunk * n).enumerate() {
@@ -234,58 +246,34 @@ fn parallel_rows(out: &mut [f32], m: usize, n: usize, body: impl Fn(&mut [f32], 
     .unwrap_or_else(|e| std::panic::resume_unwind(e));
 }
 
-/// `out += a @ b`. `out` must be `(m, n)` and is accumulated into (callers
-/// pass a zeroed buffer for a plain product). Row-major blocked ikj loop,
-/// 4-wide over the inner dimension; shards rows across threads when large.
-pub fn matmul_into(a: &Array, b: &Array, out: &mut Array) {
-    assert_eq!(a.cols, b.rows, "matmul shape mismatch {:?} @ {:?}", a.shape(), b.shape());
-    let (m, k, n) = (a.rows, a.cols, b.cols);
-    assert_eq!(out.shape(), (m, n), "matmul output shape mismatch");
-    let be = crate::backend::active();
-    if m * k * n >= PARALLEL_FLOPS && m >= 8 {
-        let (a, b) = (&a.data, &b.data);
-        parallel_rows(&mut out.data, m, n, |chunk, row0| {
-            be.matmul_rows(a, b, chunk, row0, k, n, false);
-        });
-    } else {
-        be.matmul_rows(&a.data, &b.data, &mut out.data, 0, k, n, false);
-    }
-}
-
 /// `out = a @ b`, **overwriting** `out` — every element is assigned before it
 /// is read, so `out` may come from
 /// [`crate::pool::BufferPool::take_uninit_overwritten`] with arbitrary
-/// contents. Same blocking and summation order as [`matmul_into`]; only the
-/// first inner-dimension block assigns instead of accumulating.
+/// contents. Row-major blocked ikj loop, 4-wide over the inner dimension;
+/// shards rows across threads when large.
 pub fn matmul_into_ow(a: &Array, b: &Array, out: &mut Array) {
     assert_eq!(a.cols, b.rows, "matmul shape mismatch {:?} @ {:?}", a.shape(), b.shape());
     let (m, k, n) = (a.rows, a.cols, b.cols);
     assert_eq!(out.shape(), (m, n), "matmul output shape mismatch");
     let be = crate::backend::active();
-    if m * k * n >= PARALLEL_FLOPS && m >= 8 {
-        let (a, b) = (&a.data, &b.data);
-        parallel_rows(&mut out.data, m, n, |chunk, row0| {
-            be.matmul_rows(a, b, chunk, row0, k, n, true);
-        });
-    } else {
-        be.matmul_rows(&a.data, &b.data, &mut out.data, 0, k, n, true);
-    }
+    dispatch_rows(&mut out.data, m, k, n, |chunk, row0| {
+        be.matmul_rows(&a.data, &b.data, chunk, row0, k, n);
+    });
 }
 
-/// `out = a @ b`. See [`matmul_into`] for the kernel.
+/// `out = a @ b` into a fresh array. See [`matmul_into_ow`] for the kernel.
 pub fn matmul(a: &Array, b: &Array) -> Array {
     let mut out = Array::zeros(a.rows, b.cols);
-    matmul_into(a, b, &mut out);
+    matmul_into_ow(a, b, &mut out);
     out
 }
 
 /// Blocked ikj microkernel: 4 rows of `b` are combined per pass over the
 /// output row, so each `out` element gets 4 multiply-adds per load/store.
 /// No zero-skip on `a`: the branch defeats vectorization on dense data
-/// (DESIGN.md §9). With `OW` the first inner block assigns instead of
-/// accumulating, so `out` never has to be zero-filled; the summation order
-/// is unchanged (only the `0 +` seed of each element disappears).
-pub(crate) fn matmul_rows_impl<const OW: bool>(
+/// (DESIGN.md §9). The first inner block assigns instead of accumulating,
+/// so `out` never has to be zero-filled.
+pub(crate) fn matmul_rows_impl(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -298,27 +286,24 @@ pub(crate) fn matmul_rows_impl<const OW: bool>(
         let arow = &a[(row0 + i) * k..(row0 + i + 1) * k];
         let orow = &mut out[i * n..(i + 1) * n];
         let mut p = 0;
-        if OW {
-            if k >= 4 {
-                let (a0, a1, a2, a3) = (arow[0], arow[1], arow[2], arow[3]);
-                let b0 = &b[..n];
-                let b1 = &b[n..2 * n];
-                let b2 = &b[2 * n..3 * n];
-                let b3 = &b[3 * n..4 * n];
-                for ((((o, &v0), &v1), &v2), &v3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
-                {
-                    *o = a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3;
-                }
-                p = 4;
-            } else if k >= 1 {
-                let a0 = arow[0];
-                for (o, &bv) in orow.iter_mut().zip(&b[..n]) {
-                    *o = a0 * bv;
-                }
-                p = 1;
-            } else {
-                orow.fill(0.0);
+        if k >= 4 {
+            let (a0, a1, a2, a3) = (arow[0], arow[1], arow[2], arow[3]);
+            let b0 = &b[..n];
+            let b1 = &b[n..2 * n];
+            let b2 = &b[2 * n..3 * n];
+            let b3 = &b[3 * n..4 * n];
+            for ((((o, &v0), &v1), &v2), &v3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
+                *o = a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3;
             }
+            p = 4;
+        } else if k >= 1 {
+            let a0 = arow[0];
+            for (o, &bv) in orow.iter_mut().zip(&b[..n]) {
+                *o = a0 * bv;
+            }
+            p = 1;
+        } else {
+            orow.fill(0.0);
         }
         while p + 4 <= k {
             let (a0, a1, a2, a3) = (arow[p], arow[p + 1], arow[p + 2], arow[p + 3]);
@@ -340,53 +325,29 @@ pub(crate) fn matmul_rows_impl<const OW: bool>(
     }
 }
 
-/// `out += a @ b^T` without materializing the transpose. Same contract as
-/// [`matmul_into`]: `out` is `(a.rows, b.rows)` and accumulated into.
-pub fn matmul_bt_into(a: &Array, b: &Array, out: &mut Array) {
-    assert_eq!(a.cols, b.cols, "matmul_bt shape mismatch {:?} @ {:?}^T", a.shape(), b.shape());
-    let (m, k, n) = (a.rows, a.cols, b.rows);
-    assert_eq!(out.shape(), (m, n), "matmul_bt output shape mismatch");
-    let be = crate::backend::active();
-    if m * k * n >= PARALLEL_FLOPS && m >= 8 {
-        let (a, b) = (&a.data, &b.data);
-        parallel_rows(&mut out.data, m, n, |chunk, row0| {
-            be.matmul_bt_rows(a, b, chunk, row0, k, n, false);
-        });
-    } else {
-        be.matmul_bt_rows(&a.data, &b.data, &mut out.data, 0, k, n, false);
-    }
-}
-
-/// `out = a @ b^T`, **overwriting** `out`; see [`matmul_into_ow`] for the
-/// uninit-buffer contract.
+/// `out = a @ b^T` without materializing the transpose, **overwriting**
+/// `out`; see [`matmul_into_ow`] for the uninit-buffer contract.
 pub fn matmul_bt_into_ow(a: &Array, b: &Array, out: &mut Array) {
     assert_eq!(a.cols, b.cols, "matmul_bt shape mismatch {:?} @ {:?}^T", a.shape(), b.shape());
     let (m, k, n) = (a.rows, a.cols, b.rows);
     assert_eq!(out.shape(), (m, n), "matmul_bt output shape mismatch");
     let be = crate::backend::active();
-    if m * k * n >= PARALLEL_FLOPS && m >= 8 {
-        let (a, b) = (&a.data, &b.data);
-        parallel_rows(&mut out.data, m, n, |chunk, row0| {
-            be.matmul_bt_rows(a, b, chunk, row0, k, n, true);
-        });
-    } else {
-        be.matmul_bt_rows(&a.data, &b.data, &mut out.data, 0, k, n, true);
-    }
+    dispatch_rows(&mut out.data, m, k, n, |chunk, row0| {
+        be.matmul_bt_rows(&a.data, &b.data, chunk, row0, k, n);
+    });
 }
 
-/// `out = a @ b^T` without materializing the transpose. Shards rows across
-/// threads above `PARALLEL_FLOPS`, like [`matmul`].
+/// `out = a @ b^T` into a fresh array.
 pub fn matmul_bt(a: &Array, b: &Array) -> Array {
     let mut out = Array::zeros(a.rows, b.rows);
-    matmul_bt_into(a, b, &mut out);
+    matmul_bt_into_ow(a, b, &mut out);
     out
 }
 
 /// Blocked dot-product microkernel: 4 rows of `b` share one pass over the
-/// `a` row, giving 4 independent accumulator chains. With `OW` the finished
-/// sums are assigned into `out` instead of added, so the buffer's prior
-/// contents are irrelevant.
-pub(crate) fn matmul_bt_rows_impl<const OW: bool>(
+/// `a` row, giving 4 independent accumulator chains. The finished sums are
+/// assigned into `out`, so the buffer's prior contents are irrelevant.
+pub(crate) fn matmul_bt_rows_impl(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -411,77 +372,43 @@ pub(crate) fn matmul_bt_rows_impl<const OW: bool>(
                 s2 += x * y2;
                 s3 += x * y3;
             }
-            if OW {
-                orow[j] = s0;
-                orow[j + 1] = s1;
-                orow[j + 2] = s2;
-                orow[j + 3] = s3;
-            } else {
-                orow[j] += s0;
-                orow[j + 1] += s1;
-                orow[j + 2] += s2;
-                orow[j + 3] += s3;
-            }
+            orow[j] = s0;
+            orow[j + 1] = s1;
+            orow[j + 2] = s2;
+            orow[j + 3] = s3;
             j += 4;
         }
         for jj in j..n {
-            let s = dot_scalar(arow, &b[jj * k..(jj + 1) * k]);
-            if OW {
-                orow[jj] = s;
-            } else {
-                orow[jj] += s;
-            }
+            orow[jj] = dot_scalar(arow, &b[jj * k..(jj + 1) * k]);
         }
     }
 }
 
-/// `out += a^T @ b` without materializing the transpose. `out` is
-/// `(a.cols, b.cols)` and accumulated into; shards output rows (columns of
-/// `a`) across threads above `PARALLEL_FLOPS`, like the other two kernels.
-pub fn matmul_at_into(a: &Array, b: &Array, out: &mut Array) {
-    assert_eq!(a.rows, b.rows, "matmul_at shape mismatch {:?}^T @ {:?}", a.shape(), b.shape());
-    let (m, k, n) = (a.cols, a.rows, b.cols);
-    assert_eq!(out.shape(), (m, n), "matmul_at output shape mismatch");
-    let be = crate::backend::active();
-    if m * k * n >= PARALLEL_FLOPS && m >= 8 {
-        let (a, b) = (&a.data, &b.data);
-        parallel_rows(&mut out.data, m, n, |chunk, row0| {
-            be.matmul_at_rows(a, b, chunk, row0, k, m, n, false);
-        });
-    } else {
-        be.matmul_at_rows(&a.data, &b.data, &mut out.data, 0, k, m, n, false);
-    }
-}
-
-/// `out = a^T @ b`, **overwriting** `out`; see [`matmul_into_ow`] for the
-/// uninit-buffer contract.
+/// `out = a^T @ b` without materializing the transpose, **overwriting**
+/// `out`; see [`matmul_into_ow`] for the uninit-buffer contract. Output rows
+/// are columns of `a`.
 pub fn matmul_at_into_ow(a: &Array, b: &Array, out: &mut Array) {
     assert_eq!(a.rows, b.rows, "matmul_at shape mismatch {:?}^T @ {:?}", a.shape(), b.shape());
     let (m, k, n) = (a.cols, a.rows, b.cols);
     assert_eq!(out.shape(), (m, n), "matmul_at output shape mismatch");
     let be = crate::backend::active();
-    if m * k * n >= PARALLEL_FLOPS && m >= 8 {
-        let (a, b) = (&a.data, &b.data);
-        parallel_rows(&mut out.data, m, n, |chunk, row0| {
-            be.matmul_at_rows(a, b, chunk, row0, k, m, n, true);
-        });
-    } else {
-        be.matmul_at_rows(&a.data, &b.data, &mut out.data, 0, k, m, n, true);
-    }
+    dispatch_rows(&mut out.data, m, k, n, |chunk, row0| {
+        be.matmul_at_rows(&a.data, &b.data, chunk, row0, k, m, n);
+    });
 }
 
-/// `out = a^T @ b` without materializing the transpose.
+/// `out = a^T @ b` into a fresh array.
 pub fn matmul_at(a: &Array, b: &Array) -> Array {
     let mut out = Array::zeros(a.cols, b.cols);
-    matmul_at_into(a, b, &mut out);
+    matmul_at_into_ow(a, b, &mut out);
     out
 }
 
 /// Blocked kernel for `a^T @ b`: output row `i` reads column `i` of `a`
 /// (stride `m`) 4 inner-dim steps at a time, combining 4 rows of `b` per
-/// pass over the output row. `OW` assigns the first block (see
+/// pass over the output row. The first block assigns (see
 /// [`matmul_rows_impl`]).
-pub(crate) fn matmul_at_rows_impl<const OW: bool>(
+pub(crate) fn matmul_at_rows_impl(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -495,27 +422,24 @@ pub(crate) fn matmul_at_rows_impl<const OW: bool>(
         let col = row0 + i;
         let orow = &mut out[i * n..(i + 1) * n];
         let mut p = 0;
-        if OW {
-            if k >= 4 {
-                let (a0, a1, a2, a3) = (a[col], a[m + col], a[2 * m + col], a[3 * m + col]);
-                let b0 = &b[..n];
-                let b1 = &b[n..2 * n];
-                let b2 = &b[2 * n..3 * n];
-                let b3 = &b[3 * n..4 * n];
-                for ((((o, &v0), &v1), &v2), &v3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
-                {
-                    *o = a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3;
-                }
-                p = 4;
-            } else if k >= 1 {
-                let a0 = a[col];
-                for (o, &bv) in orow.iter_mut().zip(&b[..n]) {
-                    *o = a0 * bv;
-                }
-                p = 1;
-            } else {
-                orow.fill(0.0);
+        if k >= 4 {
+            let (a0, a1, a2, a3) = (a[col], a[m + col], a[2 * m + col], a[3 * m + col]);
+            let b0 = &b[..n];
+            let b1 = &b[n..2 * n];
+            let b2 = &b[2 * n..3 * n];
+            let b3 = &b[3 * n..4 * n];
+            for ((((o, &v0), &v1), &v2), &v3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
+                *o = a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3;
             }
+            p = 4;
+        } else if k >= 1 {
+            let a0 = a[col];
+            for (o, &bv) in orow.iter_mut().zip(&b[..n]) {
+                *o = a0 * bv;
+            }
+            p = 1;
+        } else {
+            orow.fill(0.0);
         }
         while p + 4 <= k {
             let (a0, a1, a2, a3) =
@@ -701,7 +625,7 @@ pub fn mh_attention_forward(
         // Pass 1: raw scores for the whole head at once —
         // S = Q_head · Kᵀ_head as a dense matmul into the attn block.
         let ablock = &mut attn.data[h * t * t..(h + 1) * t * t];
-        be.matmul_rows(qh, kt_head, ablock, 0, dh, t, true);
+        be.matmul_rows(qh, kt_head, ablock, 0, dh, t);
         for i in 0..t {
             let arow = &mut ablock[i * t..(i + 1) * t];
             // Passes 2+3: scale + bias, then a stable exp-normalize.
@@ -838,17 +762,17 @@ pub fn mh_attention_backward(
         // dq_head += S · K_head (panel copied contiguous, result added back
         // through the head's column stride).
         copy_head_panel(&k.data, d, lo, dh, bhead);
-        be.matmul_rows(srows, bhead, tmp, 0, t, dh, true);
+        be.matmul_rows(srows, bhead, tmp, 0, t, dh);
         add_head_panel(tmp, &mut dq.data, d, lo, dh);
         // dk_head += Sᵀ · Q_head and dv_head += Wᵀ · G_head, transposing
         // S/W in place (cache-blocked) so both run as row-major matmuls.
         transpose_square_inplace(srows, t);
         copy_head_panel(&q.data, d, lo, dh, bhead);
-        be.matmul_rows(srows, bhead, tmp, 0, t, dh, true);
+        be.matmul_rows(srows, bhead, tmp, 0, t, dh);
         add_head_panel(tmp, &mut dk.data, d, lo, dh);
         transpose_square_inplace(wrows, t);
         copy_head_panel(&g_out.data, d, lo, dh, bhead);
-        be.matmul_rows(wrows, bhead, tmp, 0, t, dh, true);
+        be.matmul_rows(wrows, bhead, tmp, 0, t, dh);
         add_head_panel(tmp, &mut dv.data, d, lo, dh);
     }
 }

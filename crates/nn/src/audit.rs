@@ -222,15 +222,10 @@ impl Graph<'_> {
     }
 }
 
-/// Whether debug-build audit hooks should run: on in debug builds (or when
-/// `START_AUDIT=1`), off in release builds unless forced, and `START_AUDIT=0`
-/// always wins.
+/// Whether `fit` audits its first tape: the `START_AUDIT` switch of the one
+/// [switch table](mod@start_sync::switches), on in debug builds by default.
 pub fn audit_enabled() -> bool {
-    match std::env::var("START_AUDIT") {
-        Ok(v) if v == "0" => false,
-        Ok(v) if !v.is_empty() => true,
-        _ => cfg!(debug_assertions),
-    }
+    start_sync::switches().audit
 }
 
 #[cfg(test)]

@@ -14,12 +14,13 @@
 //!   packing and a vectorized exp. Compiled on `x86_64` only and selected
 //!   at runtime only when the CPU reports `avx2` **and** `fma`.
 //!
-//! Selection: the `START_BACKEND` environment variable (`auto` | `simd` |
-//! `scalar`, default `auto` = SIMD when available) read once per process,
-//! overridable in-process through [`set_backend`] (the bench/test escape
-//! hatch `bench_kernels` uses to time both backends). Every dispatch is one
-//! relaxed atomic load plus a vtable call per *kernel invocation* (not per
-//! element), so the seam costs nothing measurable.
+//! Selection: the `START_BACKEND` switch (`auto` | `simd` | `scalar`,
+//! default `auto` = SIMD when available) of the one
+//! [switch table](mod@start_sync::switches), overridable in-process through
+//! [`set_backend`] (the bench/test escape hatch `bench_kernels` uses to
+//! time both backends). Every dispatch is one relaxed atomic load plus a
+//! vtable call per *kernel invocation* (not per element), so the seam costs
+//! nothing measurable.
 //!
 //! Contract for implementors: kernels must be **deterministic** — the same
 //! inputs on the same backend produce bitwise-identical outputs on every
@@ -31,29 +32,18 @@
 use crate::array;
 
 /// One kernel implementation family. All slice-level row kernels mirror the
-/// dispatch layer in `array.rs`: matmuls operate on row-major buffers with
-/// an `ow` flag selecting overwrite (`=`) vs accumulate (`+=`) semantics,
+/// dispatch layer in `array.rs`: matmuls overwrite rows of a row-major
+/// output (every element is assigned, so `out` may hold arbitrary bits),
 /// and row ops transform one row in place.
 pub trait Backend: Sync {
     /// Short stable name, reported by benches and `BENCH_kernels.json`.
     fn name(&self) -> &'static str;
 
-    /// `out[i] (+)= a[row0+i] @ b` over `out.len() / n` rows, where `a`
+    /// `out[i] = a[row0+i] @ b` over `out.len() / n` rows, where `a`
     /// rows have length `k` and `b` is `(k, n)` row-major.
-    #[allow(clippy::too_many_arguments)]
-    fn matmul_rows(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        row0: usize,
-        k: usize,
-        n: usize,
-        ow: bool,
-    );
+    fn matmul_rows(&self, a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n: usize);
 
-    /// `out[i] (+)= a[row0+i] @ b^T` where `b` is `(n, k)` row-major.
-    #[allow(clippy::too_many_arguments)]
+    /// `out[i] = a[row0+i] @ b^T` where `b` is `(n, k)` row-major.
     fn matmul_bt_rows(
         &self,
         a: &[f32],
@@ -62,10 +52,9 @@ pub trait Backend: Sync {
         row0: usize,
         k: usize,
         n: usize,
-        ow: bool,
     );
 
-    /// `out[i] (+)= column (row0+i) of a @ b` where `a` is `(k, m)`
+    /// `out[i] = column (row0+i) of a @ b` where `a` is `(k, m)`
     /// row-major (so the column has stride `m`) and `b` is `(k, n)`.
     #[allow(clippy::too_many_arguments)]
     fn matmul_at_rows(
@@ -77,7 +66,6 @@ pub trait Backend: Sync {
         k: usize,
         m: usize,
         n: usize,
-        ow: bool,
     );
 
     /// Plain dot product.
@@ -121,21 +109,8 @@ impl Backend for ScalarBackend {
         "scalar"
     }
 
-    fn matmul_rows(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        row0: usize,
-        k: usize,
-        n: usize,
-        ow: bool,
-    ) {
-        if ow {
-            array::matmul_rows_impl::<true>(a, b, out, row0, k, n);
-        } else {
-            array::matmul_rows_impl::<false>(a, b, out, row0, k, n);
-        }
+    fn matmul_rows(&self, a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n: usize) {
+        array::matmul_rows_impl(a, b, out, row0, k, n);
     }
 
     fn matmul_bt_rows(
@@ -146,13 +121,8 @@ impl Backend for ScalarBackend {
         row0: usize,
         k: usize,
         n: usize,
-        ow: bool,
     ) {
-        if ow {
-            array::matmul_bt_rows_impl::<true>(a, b, out, row0, k, n);
-        } else {
-            array::matmul_bt_rows_impl::<false>(a, b, out, row0, k, n);
-        }
+        array::matmul_bt_rows_impl(a, b, out, row0, k, n);
     }
 
     fn matmul_at_rows(
@@ -164,13 +134,8 @@ impl Backend for ScalarBackend {
         k: usize,
         m: usize,
         n: usize,
-        ow: bool,
     ) {
-        if ow {
-            array::matmul_at_rows_impl::<true>(a, b, out, row0, k, m, n);
-        } else {
-            array::matmul_at_rows_impl::<false>(a, b, out, row0, k, m, n);
-        }
+        array::matmul_at_rows_impl(a, b, out, row0, k, m, n);
     }
 
     fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
@@ -283,19 +248,14 @@ pub fn set_backend(kind: Option<BackendKind>) -> Option<BackendKind> {
     }
 }
 
-/// The process-default backend from `START_BACKEND` (`auto` | `simd` |
-/// `scalar`), resolved once. Unknown values fall back to `auto` so a typo
-/// can never silently disable the fast path *and* the safe path.
+/// The process-default backend: scalar when the `START_BACKEND` switch
+/// says `scalar`, else SIMD when available.
 fn env_default() -> BackendKind {
-    static DEFAULT: start_sync::OnceLock<BackendKind> = start_sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        let want = std::env::var("START_BACKEND").unwrap_or_default();
-        match want.as_str() {
-            "scalar" => BackendKind::Scalar,
-            _ if simd_available() => BackendKind::Simd,
-            _ => BackendKind::Scalar,
-        }
-    })
+    if !start_sync::switches().scalar_backend && simd_available() {
+        BackendKind::Simd
+    } else {
+        BackendKind::Scalar
+    }
 }
 
 /// The backend kind the next kernel dispatch will use.

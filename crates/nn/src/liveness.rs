@@ -52,17 +52,17 @@ use std::collections::VecDeque;
 use crate::graph::{Graph, NodeId};
 
 /// Whether [`crate::train::BatchTrainer`] plans backward memory releases:
-/// on unless `START_MEM_PLAN=0`. The plan never changes computed values
-/// (bitwise), only when buffers return to the pool, so it defaults on.
+/// the `START_MEM_PLAN` switch of the one
+/// [switch table](mod@start_sync::switches), on by default. The plan never
+/// changes computed values (bitwise), only when buffers return to the pool.
 pub fn memory_planning_enabled() -> bool {
-    !matches!(std::env::var("START_MEM_PLAN"), Ok(v) if v == "0")
+    start_sync::switches().mem_plan
 }
 
 /// Whether the aliasing sanitizer's paranoid checks run (plan/actual byte
-/// reconciliation, release-count reconciliation): the one `START_SANITIZE`
-/// switch the lock-order sanitizer also reads — on in debug builds or when
-/// `START_SANITIZE=1`, `START_SANITIZE=0` always wins, read once per
-/// process. The structural guarantees — read barriers, double-release
+/// reconciliation, release-count reconciliation): the `START_SANITIZE`
+/// switch the lock-order sanitizer also reads, on in debug builds by
+/// default. The structural guarantees — read barriers, double-release
 /// detection, plan fingerprint validation — are cheap and always on.
 pub use start_sync::order::sanitize_enabled;
 

@@ -78,7 +78,7 @@ mod avx2 {
     std::thread_local! {
         /// Per-thread scratch for the packed B panel, reused across calls so
         /// steady-state matmuls never allocate. Thread-local because
-        /// `array::parallel_rows` may run row chunks on scoped threads.
+        /// `array::dispatch_rows` may run row chunks on scoped threads.
         static PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
         /// Per-thread scratch for the transposed-A copy used by the packed
         /// `matmul_at` path (separate cell: it is alive across a `PACK` use).
@@ -103,24 +103,23 @@ mod avx2 {
             row0: usize,
             k: usize,
             n: usize,
-            ow: bool,
         ) {
             let rows = out.len().checked_div(n).unwrap_or(0);
             if rows == 0 || k == 0 {
-                fill_or_keep(out, ow);
+                out.fill(0.0);
                 return;
             }
             if rows * k * n < PACK_MIN_FLOPS || n < NR || rows < MR {
                 // unsafe-ok: AVX2+FMA guaranteed by the `available()` gate
                 // on backend selection; all indexing is bounds-derived.
-                unsafe { matmul_rows_direct(a, b, out, row0, k, n, ow) }
+                unsafe { matmul_rows_direct(a, b, out, row0, k, n) }
             } else {
                 PACK.with(|p| {
                     let mut pack = p.borrow_mut();
                     // unsafe-ok: AVX2+FMA guaranteed by the `available()`
                     // gate; the packed panel is sized in safe code above
                     // every raw load.
-                    unsafe { matmul_rows_packed(a, b, out, row0, k, n, ow, &mut pack) }
+                    unsafe { matmul_rows_packed(a, b, out, row0, k, n, &mut pack) }
                 });
             }
         }
@@ -133,27 +132,26 @@ mod avx2 {
             row0: usize,
             k: usize,
             n: usize,
-            ow: bool,
         ) {
             if n == 0 {
                 return;
             }
             let rows = out.len() / n;
             if rows == 0 || k == 0 {
-                fill_or_keep(out, ow);
+                out.fill(0.0);
                 return;
             }
             if rows * k * n < PACK_MIN_FLOPS || n < NR || rows < MR {
                 // unsafe-ok: AVX2+FMA guaranteed by the `available()` gate
                 // on backend selection; all indexing is bounds-derived.
-                unsafe { matmul_bt_rows_dot(a, b, out, row0, k, n, ow) }
+                unsafe { matmul_bt_rows_dot(a, b, out, row0, k, n, true) }
             } else {
                 PACK.with(|p| {
                     let mut pack = p.borrow_mut();
                     // unsafe-ok: AVX2+FMA guaranteed by the `available()`
                     // gate; the packed panel is sized in safe code above
                     // every raw load.
-                    unsafe { matmul_bt_rows_packed(a, b, out, row0, k, n, ow, &mut pack) }
+                    unsafe { matmul_bt_rows_packed(a, b, out, row0, k, n, &mut pack) }
                 });
             }
         }
@@ -167,17 +165,16 @@ mod avx2 {
             k: usize,
             m: usize,
             n: usize,
-            ow: bool,
         ) {
             let rows = out.len().checked_div(n).unwrap_or(0);
             if rows == 0 || k == 0 {
-                fill_or_keep(out, ow);
+                out.fill(0.0);
                 return;
             }
             if rows * k * n < PACK_MIN_FLOPS || n < NR || rows < MR {
                 // unsafe-ok: AVX2+FMA guaranteed by the `available()` gate
                 // on backend selection; all indexing is bounds-derived.
-                unsafe { matmul_at_rows_avx(a, b, out, row0, k, m, n, ow) }
+                unsafe { matmul_at_rows_avx(a, b, out, row0, k, m, n) }
             } else {
                 // Big shapes: materialize the needed Aᵀ rows once with a
                 // cache-blocked transpose, then reuse the packed matmul —
@@ -209,7 +206,7 @@ mod avx2 {
                         // unsafe-ok: AVX2+FMA guaranteed by the
                         // `available()` gate; the transposed copy and the
                         // packed panel are sized in safe code above.
-                        unsafe { matmul_rows_packed(&at, b, out, 0, k, n, ow, &mut pack) }
+                        unsafe { matmul_rows_packed(&at, b, out, 0, k, n, &mut pack) }
                     });
                 });
             }
@@ -255,14 +252,6 @@ mod avx2 {
             // unsafe-ok: AVX2+FMA guaranteed by the `available()` gate on
             // backend selection; single-slice sweeps only.
             unsafe { layer_norm_row_avx(row, eps) }
-        }
-    }
-
-    /// Degenerate-shape epilogue: overwrite semantics must still define the
-    /// output (the buffer pool hands out NaN-poisoned storage in tests).
-    fn fill_or_keep(out: &mut [f32], ow: bool) {
-        if ow {
-            out.fill(0.0);
         }
     }
 
@@ -502,8 +491,8 @@ mod avx2 {
 
     /// Direct broadcast-FMA kernel: for each output row, walk A's row in
     /// blocks of 4, broadcasting each element against 8-wide segments of the
-    /// matching B row. Overwrite is an upfront zero-fill (so the pool's
-    /// NaN-poison is always cleared) followed by plain accumulation.
+    /// matching B row. An upfront zero-fill (so the pool's NaN-poison is
+    /// always cleared) is followed by plain accumulation.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn matmul_rows_direct(
         a: &[f32],
@@ -512,13 +501,10 @@ mod avx2 {
         row0: usize,
         k: usize,
         n: usize,
-        ow: bool,
     ) {
         let rows = out.len() / n;
         debug_assert!((row0 + rows) * k <= a.len() && k * n <= b.len());
-        if ow {
-            out.fill(0.0);
-        }
+        out.fill(0.0);
         let pb = b.as_ptr();
         for i in 0..rows {
             let arow = &a[(row0 + i) * k..(row0 + i) * k + k];
@@ -578,7 +564,6 @@ mod avx2 {
     /// (last panel zero-padded) so the inner loop streams contiguous,
     /// reused-per-row-block memory; each `MR × NR` tile keeps 8 ymm
     /// accumulators live across the whole k loop.
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn matmul_rows_packed(
         a: &[f32],
@@ -587,7 +572,6 @@ mod avx2 {
         row0: usize,
         k: usize,
         n: usize,
-        ow: bool,
         pack: &mut Vec<f32>,
     ) {
         let rows = out.len() / n;
@@ -603,14 +587,11 @@ mod avx2 {
                 pack[dst..dst + w].copy_from_slice(&b[p * n + j0..p * n + j0 + w]);
             }
         }
-        if ow {
-            out.fill(0.0);
-        }
+        out.fill(0.0);
         let i = packed_tile_pass(a, pack, out, row0, k, n);
         if i < rows {
-            // Remainder rows take the direct kernel over the original B —
-            // same accumulate-into-zeroed-out semantics as the body above.
-            matmul_rows_direct(a, b, &mut out[i * n..rows * n], row0 + i, k, n, false);
+            // Remainder rows take the direct kernel over the original B.
+            matmul_rows_direct(a, b, &mut out[i * n..rows * n], row0 + i, k, n);
         }
     }
 
@@ -677,12 +658,11 @@ mod avx2 {
         i
     }
 
-    /// Packed B-transposed kernel: `out (+)= A · Bᵀ` with B row-major
+    /// Packed B-transposed kernel: `out = A · Bᵀ` with B row-major
     /// `(n, k)`. B is transposed straight into `k × NR` panels (reading 16
     /// B rows as parallel sequential streams), after which the product is an
     /// ordinary packed matmul — the same near-peak tile pass as
     /// [`matmul_rows_packed`] instead of horizontal-sum dot products.
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn matmul_bt_rows_packed(
         a: &[f32],
@@ -691,7 +671,6 @@ mod avx2 {
         row0: usize,
         k: usize,
         n: usize,
-        ow: bool,
         pack: &mut Vec<f32>,
     ) {
         let rows = out.len() / n;
@@ -710,9 +689,7 @@ mod avx2 {
                 }
             }
         }
-        if ow {
-            out.fill(0.0);
-        }
+        out.fill(0.0);
         let i = packed_tile_pass(a, pack, out, row0, k, n);
         if i < rows {
             matmul_bt_rows_dot(a, b, &mut out[i * n..rows * n], row0 + i, k, n, false);
@@ -737,7 +714,8 @@ mod avx2 {
 
     /// `out[i][j] (+)= a[row0+i] · b[j]` with B row-major `(n, k)` — four
     /// output columns share each A load, one horizontal sum per element.
-    /// Used for small shapes and packed-path remainder rows.
+    /// Used for small shapes (`ow`: assign) and, accumulating onto the
+    /// zero-filled rows, for packed-path remainder rows.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn matmul_bt_rows_dot(
         a: &[f32],
@@ -822,9 +800,8 @@ mod avx2 {
         }
     }
 
-    /// `out[i] (+)= column (row0+i) of A @ B` — the direct kernel with A
+    /// `out[i] = column (row0+i) of A @ B` — the direct kernel with A
     /// broadcast at column stride `m` (A is `(k, m)` row-major).
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn matmul_at_rows_avx(
         a: &[f32],
@@ -834,13 +811,10 @@ mod avx2 {
         k: usize,
         m: usize,
         n: usize,
-        ow: bool,
     ) {
         let rows = out.len() / n;
         debug_assert!(k * m <= a.len() && k * n <= b.len() && row0 + rows <= m);
-        if ow {
-            out.fill(0.0);
-        }
+        out.fill(0.0);
         let pa = a.as_ptr();
         let pb = b.as_ptr();
         for i in 0..rows {

@@ -83,8 +83,8 @@ fn biased_walk(
 ) -> Vec<SegmentId> {
     let mut walk = Vec::with_capacity(length);
     walk.push(start);
+    let mut cur = start;
     while walk.len() < length {
-        let cur = *walk.last().expect("non-empty");
         let neighbors = net.successors(cur);
         if neighbors.is_empty() {
             break;
@@ -120,6 +120,7 @@ fn biased_walk(
             chosen
         };
         walk.push(next);
+        cur = next;
     }
     walk
 }

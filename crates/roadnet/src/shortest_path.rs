@@ -174,11 +174,11 @@ pub fn yen_ksp(
     let Some(best) = dijkstra(net, source, target, &cost) else {
         return Vec::new();
     };
+    let mut prev_path = best.segments.clone();
     let mut shortest: Vec<Path> = vec![best];
     let mut candidates: Vec<Path> = Vec::new();
 
     for _ in 1..k {
-        let prev_path = shortest.last().expect("non-empty").segments.clone();
         for spur_idx in 0..prev_path.len() - 1 {
             let spur_node = prev_path[spur_idx];
             let root = &prev_path[..=spur_idx];
@@ -211,11 +211,12 @@ pub fn yen_ksp(
                 }
             }
         }
-        if candidates.is_empty() {
-            break;
-        }
         candidates.sort_by(|a, b| b.cost.total_cmp(&a.cost));
-        shortest.push(candidates.pop().expect("non-empty"));
+        let Some(next) = candidates.pop() else {
+            break;
+        };
+        prev_path = next.segments.clone();
+        shortest.push(next);
     }
     shortest
 }

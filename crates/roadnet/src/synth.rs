@@ -196,9 +196,6 @@ pub fn porto_like() -> City {
 /// (Kosaraju's algorithm), remapping segment ids densely.
 pub fn largest_scc(net: &RoadNetwork) -> RoadNetwork {
     let n = net.num_segments();
-    if n == 0 {
-        return RoadNetwork::new();
-    }
     // First pass: finish order on the forward graph.
     let mut visited = vec![false; n];
     let mut order = Vec::with_capacity(n);
@@ -248,12 +245,10 @@ pub fn largest_scc(net: &RoadNetwork) -> RoadNetwork {
     for &c in &component {
         sizes[c] += 1;
     }
-    let largest = sizes
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, &s)| s)
-        .map(|(i, _)| i)
-        .expect("at least one component");
+    // An empty network has no component.
+    let Some(largest) = sizes.iter().enumerate().max_by_key(|(_, &s)| s).map(|(i, _)| i) else {
+        return RoadNetwork::new();
+    };
 
     // Rebuild with dense ids.
     let mut remap = vec![None; n];

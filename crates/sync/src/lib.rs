@@ -27,6 +27,10 @@
 //!    lock-order inversions surface on the *first* interleaving that takes
 //!    the locks in either order, not just the interleaving that deadlocks.
 //!
+//! It also holds the workspace's one runtime switch table
+//! ([`switches`](mod@switches)): every `START_*` environment variable the
+//! library reads, parsed once per process.
+//!
 //! Semantics notes for model mode:
 //! - Exploration is sequentially consistent: atomics take one scheduling
 //!   point per operation and then delegate to the real primitive. Weak
@@ -44,6 +48,7 @@ pub mod mpsc;
 mod mutex;
 pub mod order;
 mod rwlock;
+pub mod switches;
 pub(crate) mod tls;
 
 pub mod atomic {
@@ -55,6 +60,7 @@ pub mod atomic {
 pub use condvar::{Condvar, WaitTimeoutResult};
 pub use mutex::{Mutex, MutexGuard};
 pub use rwlock::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+pub use switches::{switches, Switches};
 
 // Plain re-exports: these need no scheduling hooks (`Arc` is just shared
 // ownership; `OnceLock` races only at initialization, which the explorer's

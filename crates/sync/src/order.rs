@@ -13,9 +13,10 @@
 //! - Classes are creation sites, so N shards created in one loop share one
 //!   class; same-class nesting is deliberately ignored (sharded locks of one
 //!   pool are ordered by convention, e.g. never held pairwise).
-//! - Gating mirrors `start_nn::liveness::sanitize_enabled`: on in debug
-//!   builds, `START_SANITIZE=1` forces on, `START_SANITIZE=0` forces off.
-//!   The decision is cached process-wide on first use.
+//! - Gated by the `START_SANITIZE` switch of the
+//!   [switch table](mod@crate::switches), which
+//!   `start_nn::liveness::sanitize_enabled` reads too: on in debug builds,
+//!   `1` forces on, `0` forces off, parsed once per process.
 //! - Model mode skips the sanitizer entirely — the schedule explorer owns
 //!   deadlock detection there, and keeps seeded deadlock models reporting
 //!   `Deadlock` findings instead of sanitizer panics.
@@ -101,15 +102,10 @@ thread_local! {
     static HELD: RefCell<Vec<(Site, Site)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Whether the sanitizer runs: `START_SANITIZE=0` wins off, any other
-/// non-empty value wins on, else debug builds only. Cached on first use.
+/// Whether the sanitizer runs: the `START_SANITIZE` switch of the one
+/// [switch table](mod@crate::switches), on in debug builds by default.
 pub fn sanitize_enabled() -> bool {
-    static ENABLED: StdOnceLock<bool> = StdOnceLock::new(); // sync-ok: the sanitizer's own plumbing
-    *ENABLED.get_or_init(|| match std::env::var("START_SANITIZE") {
-        Ok(v) if v == "0" => false,
-        Ok(v) if !v.is_empty() => true,
-        _ => cfg!(debug_assertions),
-    })
+    crate::switches().sanitize
 }
 
 /// Record an acquisition of `class` at `site`. Panics on a lock-order

@@ -171,7 +171,7 @@ pub fn map_match(
         .enumerate()
         .max_by(|a, b| a.1.total_cmp(b.1))
         .map(|(i, _)| i)
-        .expect("non-empty candidates");
+        .expect("non-empty candidates"); // lint-ok: each point has a candidate
     let mut state_seq = vec![candidates[candidates.len() - 1][best].0];
     let mut times = vec![raw.points[raw.points.len() - 1].t];
     for t in (0..backptr.len()).rev() {
@@ -190,12 +190,11 @@ pub fn map_match(
         if roads.last() == Some(&seg) {
             continue;
         }
-        if let Some(&prev) = roads.last() {
+        if let (Some(&prev), Some(&t_prev)) = (roads.last(), visit_times.last()) {
             if !net.successors(prev).contains(&seg) {
                 if let Some(path) =
                     dijkstra(net, prev, seg, |_, next| net.segment(next).length_m as f64)
                 {
-                    let t_prev = *visit_times.last().expect("non-empty");
                     let gap = path.segments.len() - 1;
                     for (k, &mid) in path.segments[1..path.segments.len() - 1].iter().enumerate() {
                         roads.push(mid);
@@ -211,7 +210,7 @@ pub fn map_match(
         visit_times.push(t);
     }
 
-    let arrival = *visit_times.last().expect("non-empty");
+    let arrival = *visit_times.last().expect("non-empty"); // lint-ok: ≥ 2 points (TooShort above)
     Ok(Trajectory {
         roads,
         times: visit_times,

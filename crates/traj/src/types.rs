@@ -123,7 +123,7 @@ impl Trajectory {
     }
 
     pub fn destination(&self) -> SegmentId {
-        *self.roads.last().expect("non-empty trajectory")
+        *self.roads.last().expect("non-empty trajectory") // lint-ok: panics on empty, like `origin`
     }
 
     /// Number of hops (Fig. 3c buckets).
@@ -151,7 +151,7 @@ impl Trajectory {
         if self.times.windows(2).any(|w| w[1] < w[0]) {
             return Err("timestamps not sorted".into());
         }
-        if self.arrival < *self.times.last().expect("non-empty") {
+        if self.times.last().is_some_and(|&last| self.arrival < last) {
             return Err("arrival before last visit".into());
         }
         Ok(())
