@@ -1,11 +1,21 @@
-//! Shortest-path machinery: Dijkstra, a bounded one-to-many Dijkstra and
-//! Yen's k-shortest loopless paths \[24\].
+//! Shortest-path machinery: one reusable Dijkstra, [`BoundedSearch`], and
+//! Yen's k-shortest loopless paths \[24\] on top of it.
 //!
-//! Yen's algorithm generates the top-k detour candidates the paper uses to
-//! build ground truth for the similarity-search experiments (§IV-D4),
-//! Dijkstra (with perturbable edge weights) is the route-choice engine of the
-//! trajectory simulator, and [`BoundedSearch`] gives the map matcher its
-//! transition distances.
+//! [`BoundedSearch`] holds the only Dijkstra loop, and each caller keeps
+//! one scratch for all of its searches:
+//!
+//! - the trajectory simulator's route choice: one point-to-point
+//!   [`BoundedSearch::path`] per draw, with per-driver perturbed edge costs,
+//!   on one scratch per `generate` call;
+//! - the map matcher: one bounded one-to-many [`BoundedSearch::run`] per
+//!   previous candidate for its transition distances, and `path` to stitch
+//!   gaps in the decoded route, on one scratch per trace;
+//! - Yen's algorithm ([`yen_ksp`]), which generates the top-k detour
+//!   candidates the paper uses to build ground truth for the
+//!   similarity-search experiments (§IV-D4): its first search and every spur
+//!   search on one scratch per call.
+//!
+//! [`dijkstra`] is a one-shot `path` on a fresh scratch.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
@@ -44,61 +54,30 @@ impl PartialOrd for HeapEntry {
 ///
 /// `cost` is charged for *entering* a segment (e.g. its expected travel
 /// time), so the returned cost is `sum(cost(v))` over `path[1..]`; banned
-/// transitions/segments are expressed by returning `f64::INFINITY`.
+/// transitions/segments are expressed by returning `f64::INFINITY`. A
+/// one-shot [`BoundedSearch::path`]; a caller with many searches on one
+/// network keeps a [`BoundedSearch`] instead.
 pub fn dijkstra(
     net: &RoadNetwork,
     source: SegmentId,
     target: SegmentId,
-    mut cost: impl FnMut(SegmentId, SegmentId) -> f64,
+    cost: impl FnMut(SegmentId, SegmentId) -> f64,
 ) -> Option<Path> {
-    let n = net.num_segments();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<SegmentId>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    dist[source.index()] = 0.0;
-    heap.push(HeapEntry { cost: 0.0, seg: source });
-
-    while let Some(HeapEntry { cost: d, seg }) = heap.pop() {
-        if seg == target {
-            let mut segments = vec![target];
-            let mut cur = target;
-            while let Some(p) = prev[cur.index()] {
-                segments.push(p);
-                cur = p;
-            }
-            segments.reverse();
-            return Some(Path { segments, cost: d });
-        }
-        if d > dist[seg.index()] {
-            continue;
-        }
-        for &next in net.successors(seg) {
-            let w = cost(seg, next);
-            if !w.is_finite() {
-                continue;
-            }
-            debug_assert!(w >= 0.0, "negative edge weight");
-            let nd = d + w;
-            if nd < dist[next.index()] {
-                dist[next.index()] = nd;
-                prev[next.index()] = Some(seg);
-                heap.push(HeapEntry { cost: nd, seg: next });
-            }
-        }
-    }
-    None
+    BoundedSearch::new().path(net, source, target, cost)
 }
 
-/// Reusable one-to-many Dijkstra within a cost bound: FMM's bounded
-/// transition search, without its precomputed table.
+/// Reusable Dijkstra: a point-to-point [`path`](Self::path), or FMM's
+/// bounded one-to-many transition search, without its precomputed table,
+/// as [`run`](Self::run) then [`cost`](Self::cost).
 ///
-/// One [`run`](Self::run) finds the route lengths from a source to a few
-/// targets; [`cost`](Self::cost) then reads each one. The distance array,
-/// heap and touched list are kept between runs and the array is reset
-/// through the touched list, so a run costs what it explores, not `|V|`.
+/// The distance and predecessor arrays, heap and touched list are kept
+/// between searches and the arrays are reset through the touched list, so a
+/// search costs what it explores, not `|V|`. Both kinds of search run the
+/// same loop.
 #[derive(Debug, Default)]
 pub struct BoundedSearch {
     dist: Vec<f64>,
+    prev: Vec<Option<SegmentId>>,
     touched: Vec<SegmentId>,
     heap: BinaryHeap<HeapEntry>,
 }
@@ -108,16 +87,53 @@ impl BoundedSearch {
         Self::default()
     }
 
+    /// The cheapest path from `source` to `target` under `cost`, charged as
+    /// in [`dijkstra`], or `None` when `target` is unreachable. Earlier
+    /// searches on this scratch do not change the answer.
+    pub fn path(
+        &mut self,
+        net: &RoadNetwork,
+        source: SegmentId,
+        target: SegmentId,
+        cost: impl FnMut(SegmentId, SegmentId) -> f64,
+    ) -> Option<Path> {
+        if !self.search(net, source, &[target], f64::INFINITY, cost) {
+            return None;
+        }
+        let mut segments = vec![target];
+        let mut cur = target;
+        while let Some(p) = self.prev[cur.index()] {
+            segments.push(p);
+            cur = p;
+        }
+        segments.reverse();
+        Some(Path { segments, cost: self.dist[target.index()] })
+    }
+
     /// Search from `source`, charging each segment's `length_m` on entering
     /// it, the cost the map matcher gives [`dijkstra`]. No entry costlier
     /// than `bound` is pushed, and the search stops once every target is
     /// settled or nothing within `bound` is left.
     pub fn run(&mut self, net: &RoadNetwork, source: SegmentId, targets: &[SegmentId], bound: f64) {
+        self.search(net, source, targets, bound, |_, next| net.segment(next).length_m as f64);
+    }
+
+    /// The one Dijkstra loop. Returns whether every target was settled.
+    fn search(
+        &mut self,
+        net: &RoadNetwork,
+        source: SegmentId,
+        targets: &[SegmentId],
+        bound: f64,
+        mut cost: impl FnMut(SegmentId, SegmentId) -> f64,
+    ) -> bool {
         for seg in self.touched.drain(..) {
             self.dist[seg.index()] = f64::INFINITY;
+            self.prev[seg.index()] = None;
         }
         self.heap.clear();
         self.dist.resize(net.num_segments(), f64::INFINITY);
+        self.prev.resize(net.num_segments(), None);
         // A repeated target is counted twice, so the search then runs to the
         // bound: slower, never wrong.
         let mut unsettled = targets.len();
@@ -126,30 +142,35 @@ impl BoundedSearch {
         self.heap.push(HeapEntry { cost: 0.0, seg: source });
 
         while let Some(HeapEntry { cost: d, seg }) = self.heap.pop() {
+            // A target's first pop is never stale: its cheapest entry is
+            // the one its distance holds.
             if d > self.dist[seg.index()] {
                 continue;
             }
             if targets.contains(&seg) {
                 unsettled -= 1;
                 if unsettled == 0 {
-                    return;
+                    return true;
                 }
             }
             for &next in net.successors(seg) {
-                let w = net.segment(next).length_m as f64;
+                let w = cost(seg, next);
                 if !w.is_finite() {
                     continue;
                 }
+                debug_assert!(w >= 0.0, "negative edge weight");
                 let nd = d + w;
                 if nd <= bound && nd < self.dist[next.index()] {
                     if self.dist[next.index()] == f64::INFINITY {
                         self.touched.push(next);
                     }
                     self.dist[next.index()] = nd;
+                    self.prev[next.index()] = Some(seg);
                     self.heap.push(HeapEntry { cost: nd, seg: next });
                 }
             }
         }
+        false
     }
 
     /// The length from the last run's source to `target`, one of its
@@ -163,7 +184,8 @@ impl BoundedSearch {
 /// Yen's k-shortest loopless paths between two segments.
 ///
 /// Returns up to `k` simple paths sorted by ascending cost; the first is the
-/// Dijkstra optimum. `cost(from, to)` is charged for the transition.
+/// Dijkstra optimum. `cost(from, to)` is charged for the transition. Every
+/// spur search runs on one [`BoundedSearch`].
 pub fn yen_ksp(
     net: &RoadNetwork,
     source: SegmentId,
@@ -171,7 +193,8 @@ pub fn yen_ksp(
     k: usize,
     cost: impl Fn(SegmentId, SegmentId) -> f64,
 ) -> Vec<Path> {
-    let Some(best) = dijkstra(net, source, target, &cost) else {
+    let mut search = BoundedSearch::new();
+    let Some(best) = search.path(net, source, target, &cost) else {
         return Vec::new();
     };
     let mut prev_path = best.segments.clone();
@@ -193,7 +216,7 @@ pub fn yen_ksp(
             // Nodes removed: the root except the spur node (loopless-ness).
             let banned_nodes: HashSet<SegmentId> = root[..spur_idx].iter().copied().collect();
 
-            let spur = dijkstra(net, spur_node, target, |a, b| {
+            let spur = search.path(net, spur_node, target, |a, b| {
                 if banned_edges.contains(&(a, b)) || banned_nodes.contains(&b) {
                     f64::INFINITY
                 } else {
@@ -276,6 +299,74 @@ mod tests {
     fn dijkstra_unreachable_returns_none() {
         let net = diamond();
         assert!(dijkstra(&net, SegmentId(3), SegmentId(0), costs).is_none());
+    }
+
+    /// Splitmix-style per-(driver, segment) multiplier in [0.75, 1.25], the
+    /// shape of the simulator's route-choice bias.
+    fn biased(net: &RoadNetwork, driver: u64) -> impl Fn(SegmentId, SegmentId) -> f64 + '_ {
+        move |_, next| {
+            let mut z = driver ^ (next.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z ^= z >> 27;
+            net.segment(next).free_flow_secs() as f64 * (0.75 + 0.5 * (z as f64 / u64::MAX as f64))
+        }
+    }
+
+    fn assert_same(got: Option<Path>, want: Option<Path>, what: &str) {
+        match (got, want) {
+            (None, None) => {}
+            (Some(g), Some(w)) => {
+                assert_eq!(g.segments, w.segments, "{what}: segments");
+                assert_eq!(g.cost.to_bits(), w.cost.to_bits(), "{what}: cost bits");
+            }
+            (g, w) => panic!("{what}: reused search gave {g:?}, fresh dijkstra {w:?}"),
+        }
+    }
+
+    #[test]
+    fn reused_search_is_a_fresh_dijkstra_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let city = crate::synth::beijing_like();
+        let net = &city.net;
+        let n = net.num_segments();
+        let mut rng = StdRng::seed_from_u64(25);
+        // One scratch for every search: point-to-point answers interleaved
+        // with bounded runs, so each search starts from what the last one
+        // touched.
+        let mut search = BoundedSearch::new();
+        for i in 0..2_000 {
+            let from = SegmentId(rng.gen_range(0..n) as u32);
+            let to = SegmentId(rng.gen_range(0..n) as u32);
+            let cost = biased(net, rng.gen_range(0..8u64));
+            let got = search.path(net, from, to, &cost);
+            assert_same(got, dijkstra(net, from, to, &cost), &format!("pair {i}"));
+            if i % 5 == 0 {
+                search.run(net, to, &[from], rng.gen_range(100.0..3_000.0));
+            }
+        }
+
+        // Two disconnected copies of the diamond: every cross pair is
+        // unreachable, and the answers after one still match.
+        let mut two = diamond();
+        for i in 0..6 {
+            let s = two.segment(SegmentId(i)).clone();
+            two.add_segment(s);
+        }
+        for (a, b) in [(0, 1), (0, 2), (1, 3), (2, 3), (0, 4), (4, 5), (5, 3)] {
+            two.connect(SegmentId(a + 6), SegmentId(b + 6));
+        }
+        let cost = |a: SegmentId, b: SegmentId| costs(SegmentId(a.0 % 6), SegmentId(b.0 % 6));
+        for i in 0..400 {
+            let from = SegmentId(rng.gen_range(0..12u32));
+            let to = SegmentId(rng.gen_range(0..12u32));
+            let got = search.path(&two, from, to, cost);
+            if (from.0 < 6) != (to.0 < 6) {
+                assert!(got.is_none(), "{from:?} -> {to:?} crosses components");
+            }
+            assert_same(got, dijkstra(&two, from, to, cost), &format!("split pair {i}"));
+        }
     }
 
     #[test]

@@ -56,6 +56,13 @@ pub fn congestion_factor(kind: RoadKind, t: Timestamp) -> f32 {
     (1.0 - severity * peak).clamp(0.25, 1.0)
 }
 
+/// `congestion_factor(kind, t) as f64` for every kind, indexed by
+/// [`RoadKind::one_hot_index`]: the table a route search at a fixed time
+/// looks up per edge instead of evaluating the curve.
+pub(crate) fn congestion_factors(t: Timestamp) -> [f64; 6] {
+    RoadKind::ALL.map(|kind| congestion_factor(kind, t) as f64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,6 +96,18 @@ mod tests {
         assert!(primary_rush < primary_night, "arterial must slow at rush hour");
         assert!(primary_rush < resi_rush, "arterial slows more than residential");
         assert!(primary_night > 0.95, "free flow at night");
+    }
+
+    #[test]
+    fn factor_table_is_the_factor_of_each_kind() {
+        for h in 0..48 {
+            let t = TUESDAY + h * SECS_PER_HOUR / 2;
+            let table = congestion_factors(t);
+            for kind in RoadKind::ALL {
+                let want = congestion_factor(kind, t) as f64;
+                assert_eq!(table[kind.one_hot_index()].to_bits(), want.to_bits());
+            }
+        }
     }
 
     #[test]

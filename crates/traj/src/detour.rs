@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 
 use start_roadnet::{yen_ksp, RoadNetwork, SegmentId};
 
-use crate::congestion::congestion_factor;
+use crate::congestion::{congestion_factor, congestion_factors};
 use crate::types::{Timestamp, Trajectory};
 
 /// Parameters of the detour generator, defaulting to the paper's
@@ -81,7 +81,12 @@ pub fn make_detour(
             continue;
         }
 
-        let paths = yen_ksp(net, from, to, cfg.k, |_, next| expected_time(next, t0));
+        // Every search of this attempt departs at `t0`: one factor per kind.
+        let factors = congestion_factors(t0);
+        let paths = yen_ksp(net, from, to, cfg.k, |_, next| {
+            let s = net.segment(next);
+            s.free_flow_secs() as f64 / factors[s.kind.one_hot_index()]
+        });
         let original_sub = &traj.roads[i..=j];
         let candidate = paths.iter().find(|p| {
             if p.segments == original_sub {

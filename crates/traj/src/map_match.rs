@@ -12,9 +12,10 @@
 //! come from [`RoadNetwork::segments_near`]'s segment grid, and the route
 //! distances of a transition come from one [`BoundedSearch`] per previous
 //! candidate, to all current candidates at once, within the transition's
-//! bound `4 · euclid + 500` m.
+//! bound `4 · euclid + 500` m. The same search stitches the decoded route's
+//! gaps.
 
-use start_roadnet::{dijkstra, BoundedSearch, Point, RoadNetwork, SegmentId};
+use start_roadnet::{BoundedSearch, Point, RoadNetwork, SegmentId};
 
 use crate::types::{RawTrajectory, Timestamp, Trajectory, TravelMode};
 
@@ -193,7 +194,7 @@ pub fn map_match(
         if let (Some(&prev), Some(&t_prev)) = (roads.last(), visit_times.last()) {
             if !net.successors(prev).contains(&seg) {
                 if let Some(path) =
-                    dijkstra(net, prev, seg, |_, next| net.segment(next).length_m as f64)
+                    search.path(net, prev, seg, |_, next| net.segment(next).length_m as f64)
                 {
                     let gap = path.segments.len() - 1;
                     for (k, &mid) in path.segments[1..path.segments.len() - 1].iter().enumerate() {

@@ -12,9 +12,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use start_roadnet::{dijkstra, Point, RoadNetwork, SegmentId};
+use start_roadnet::{BoundedSearch, Point, RoadNetwork, SegmentId};
 
-use crate::congestion::{congestion_factor, demand_intensity};
+use crate::congestion::{congestion_factor, congestion_factors, demand_intensity};
 use crate::types::{GpsPoint, RawTrajectory, Timestamp, Trajectory, TravelMode, SECS_PER_DAY};
 
 /// Simulation parameters.
@@ -67,8 +67,12 @@ impl SimConfig {
 
 struct Driver {
     home: SegmentId,
-    /// Deterministic per-driver edge-cost perturbation seed.
-    bias_seed: u64,
+    /// The segments within a quarter of the city radius of `home`'s
+    /// midpoint, nearest first: where 60% of this driver's trips start.
+    near_home: Vec<SegmentId>,
+    /// `driver_edge_bias` of every segment, by segment index: this driver's
+    /// persistent route-choice perturbation.
+    edge_bias: Vec<f64>,
     /// Multiplier on driving speed (style), ~N(1, 0.05).
     style: f32,
 }
@@ -89,6 +93,9 @@ pub struct Simulator<'n> {
     net: &'n RoadNetwork,
     cfg: SimConfig,
     drivers: Vec<Driver>,
+    /// Per segment, `(free_flow_secs() as f64, kind.one_hot_index())`: what
+    /// route choice reads of a segment it enters.
+    route_costs: Vec<(f64, usize)>,
     center: Point,
     max_radius: f64,
 }
@@ -96,15 +103,7 @@ pub struct Simulator<'n> {
 impl<'n> Simulator<'n> {
     pub fn new(net: &'n RoadNetwork, cfg: SimConfig) -> Self {
         assert!(net.num_segments() > 0, "empty road network");
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
         let n = net.num_segments();
-        let drivers = (0..cfg.num_drivers)
-            .map(|_| Driver {
-                home: SegmentId(rng.gen_range(0..n) as u32),
-                bias_seed: rng.gen(),
-                style: 1.0 + rng.gen_range(-0.08..0.08f32),
-            })
-            .collect();
         // City centroid for the occupancy hotspot.
         let (mut cx, mut cy, mut max_radius) = (0.0, 0.0, 0.0f64);
         for s in net.segments() {
@@ -116,7 +115,29 @@ impl<'n> Simulator<'n> {
         for s in net.segments() {
             max_radius = max_radius.max(s.midpoint().distance(center));
         }
-        Self { net, cfg, drivers, center, max_radius: max_radius.max(1.0) }
+        let max_radius = max_radius.max(1.0);
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let drivers = (0..cfg.num_drivers)
+            .map(|_| {
+                let home = SegmentId(rng.gen_range(0..n) as u32);
+                let bias_seed: u64 = rng.gen();
+                let style = 1.0 + rng.gen_range(-0.08..0.08f32);
+                let home_mid = net.segment(home).midpoint();
+                let near = net.segments_near(home_mid, max_radius * 0.25);
+                Driver {
+                    home,
+                    near_home: near.into_iter().map(|(s, _)| s).collect(),
+                    edge_bias: net.ids().map(|s| driver_edge_bias(bias_seed, s)).collect(),
+                    style,
+                }
+            })
+            .collect();
+        let route_costs = net
+            .segments()
+            .iter()
+            .map(|s| (s.free_flow_secs() as f64, s.kind.one_hot_index()))
+            .collect();
+        Self { net, cfg, drivers, route_costs, center, max_radius }
     }
 
     pub fn config(&self) -> &SimConfig {
@@ -156,7 +177,8 @@ impl<'n> Simulator<'n> {
     }
 
     /// Sample one trajectory; `None` when the OD draw fails length bounds.
-    fn sample_one(&self, rng: &mut StdRng) -> Option<Trajectory> {
+    /// The route search runs on `search`, one scratch for every draw.
+    fn sample_one(&self, rng: &mut StdRng, search: &mut BoundedSearch) -> Option<Trajectory> {
         let n = self.net.num_segments();
         let driver_idx = rng.gen_range(0..self.drivers.len());
         let driver = &self.drivers[driver_idx];
@@ -164,13 +186,11 @@ impl<'n> Simulator<'n> {
 
         // Origin: near home 60% of the time; else uniform.
         let origin = if rng.gen::<f64>() < 0.6 {
-            let home_mid = self.net.segment(driver.home).midpoint();
-            let radius = self.max_radius * 0.25;
-            let near = self.net.segments_near(home_mid, radius);
+            let near = &driver.near_home;
             if near.is_empty() {
                 driver.home
             } else {
-                near[rng.gen_range(0..near.len())].0
+                near[rng.gen_range(0..near.len())]
             }
         } else {
             SegmentId(rng.gen_range(0..n) as u32)
@@ -181,12 +201,14 @@ impl<'n> Simulator<'n> {
         }
 
         // Route choice: expected-time Dijkstra with persistent driver bias.
+        // The departure is fixed for the whole search, so each road kind has
+        // one congestion factor.
         let departure = self.sample_departure(rng);
-        let bias_seed = driver.bias_seed;
-        let path = dijkstra(self.net, origin, dest, |_, next| {
-            let s = self.net.segment(next);
-            let expected = s.free_flow_secs() as f64 / congestion_factor(s.kind, departure) as f64;
-            expected * driver_edge_bias(bias_seed, next)
+        let factors = congestion_factors(departure);
+        let path = search.path(self.net, origin, dest, |_, next| {
+            let (free_flow, kind) = self.route_costs[next.index()];
+            let expected = free_flow / factors[kind];
+            expected * driver.edge_bias[next.index()]
         })?;
         if path.segments.len() < self.cfg.min_len || path.segments.len() > self.cfg.max_len {
             return None;
@@ -238,9 +260,10 @@ impl<'n> Simulator<'n> {
         let mut out = Vec::with_capacity(self.cfg.num_trajectories);
         let mut attempts = 0usize;
         let max_attempts = self.cfg.num_trajectories * 200;
+        let mut search = BoundedSearch::new();
         while out.len() < self.cfg.num_trajectories && attempts < max_attempts {
             attempts += 1;
-            if let Some(t) = self.sample_one(&mut rng) {
+            if let Some(t) = self.sample_one(&mut rng, &mut search) {
                 out.push(t);
             }
         }
@@ -256,7 +279,15 @@ impl<'n> Simulator<'n> {
     }
 
     /// Render a road-constrained trajectory as noisy raw GPS samples
-    /// (Definition 2) for the map-matching pipeline.
+    /// (Definition 2) for the map-matching pipeline: one point every
+    /// `interval_secs` from the departure, each displaced by up to `noise_m`
+    /// meters per axis.
+    ///
+    /// An `interval_secs` ≤ 0 or a `noise_m` that is negative, NaN or
+    /// infinite renders no trace: the result has no points, and
+    /// [`map_match`](crate::map_match()) refuses it with
+    /// [`MatchError::TooShort`](crate::MatchError::TooShort). A trace ends
+    /// early where the next sample time would overflow [`Timestamp`].
     pub fn to_raw_gps(
         &self,
         traj: &Trajectory,
@@ -265,8 +296,11 @@ impl<'n> Simulator<'n> {
         rng: &mut StdRng,
     ) -> RawTrajectory {
         let mut points = Vec::new();
+        if interval_secs <= 0 || !(noise_m >= 0.0 && noise_m.is_finite()) {
+            return RawTrajectory { points, driver: traj.driver };
+        }
         let mut sample_t = traj.departure();
-        for (i, &seg) in traj.roads.iter().enumerate() {
+        'roads: for (i, &seg) in traj.roads.iter().enumerate() {
             let enter = traj.times[i];
             let exit = if i + 1 < traj.roads.len() { traj.times[i + 1] } else { traj.arrival };
             let s = self.net.segment(seg);
@@ -282,7 +316,10 @@ impl<'n> Simulator<'n> {
                     y: p.y + rng.gen_range(-noise_m..noise_m),
                     t: sample_t,
                 });
-                sample_t += interval_secs;
+                let Some(next) = sample_t.checked_add(interval_secs) else {
+                    break 'roads;
+                };
+                sample_t = next;
             }
         }
         RawTrajectory { points, driver: traj.driver }
@@ -415,6 +452,37 @@ mod tests {
                 .fold(f64::INFINITY, f64::min);
             assert!(best < 50.0, "GPS point {best} m from route");
         }
+    }
+
+    #[test]
+    fn raw_gps_without_a_valid_interval_or_noise_is_empty_and_refused() {
+        use crate::map_match::{map_match, MatchConfig, MatchError};
+
+        let (city, cfg) = small_sim();
+        let sim = Simulator::new(&city.net, cfg);
+        let traj = &sim.generate()[0];
+        let cases = [
+            (0, 5.0),
+            (-15, 5.0),
+            (i64::MIN, 5.0),
+            (15, -1.0),
+            (15, f64::NAN),
+            (15, f64::INFINITY),
+        ];
+        for (interval, noise) in cases {
+            let mut rng = StdRng::seed_from_u64(5);
+            let raw = sim.to_raw_gps(traj, interval, noise, &mut rng);
+            assert!(raw.points.is_empty(), "interval {interval}, noise {noise}");
+            assert_eq!(raw.driver, traj.driver);
+            let matched = map_match(&city.net, &raw, &MatchConfig::default());
+            assert_eq!(matched.unwrap_err(), MatchError::TooShort);
+        }
+        // A next sample time past `Timestamp::MAX` ends the trace at one point.
+        let raw = sim.to_raw_gps(traj, i64::MAX, 5.0, &mut StdRng::seed_from_u64(5));
+        assert_eq!(raw.points.len(), 1);
+        // Zero noise is a valid, exact trace.
+        let raw = sim.to_raw_gps(traj, 15, 0.0, &mut StdRng::seed_from_u64(5));
+        assert!(raw.points.len() >= 2);
     }
 
     #[test]
