@@ -6,19 +6,23 @@
 //!
 //! 1. **per_call** — the pre-service pattern: one `Encoder::encode` call
 //!    per trajectory (what every caller of the old deprecated entry points
-//!    did per request). Each call pays the road-representation forward
-//!    pass for a single trajectory.
+//!    did per request). An offline call builds the road matrix once, so
+//!    each call pays a full TPE-GAT road forward for a single trajectory.
 //! 2. **service** — the same requests through a 1-replica `Router` with
-//!    the cache *off*: micro-batching amortizes the road representations over
-//!    the batch and answers with bit-for-bit the per_call embeddings
-//!    (asserted). The headline figure is this speedup, which the
-//!    acceptance floor requires to be ≥ 2×.
+//!    the cache *off*. The router builds the road matrix once, in
+//!    `Router::start` (before the timed phase), so a served batch pays
+//!    only per-view TAT-Enc; it answers with bit-for-bit the per_call
+//!    embeddings (asserted). The headline figure is this speedup, which
+//!    the acceptance floor requires to be ≥ 2×.
 //! 3. **service_cached** — a skewed request stream (each distinct
 //!    trajectory asked for ~4×) with the cache *on*. One untimed pass over
 //!    the distinct set warms the cache first, so the timed figure measures
 //!    cached serving, not the first misses' encodes. One pass of the stream
 //!    lasts milliseconds, so it is repeated until at least 5 passes and
-//!    200 ms have run; the figure is the median pass rate with its min–max,
+//!    200 ms have run. The rate moves more between processes than within
+//!    one, so the section runs in 3 child processes through the
+//!    `start_bench::sweep` orchestrator: the figure is the median of the
+//!    per-process median pass rates, with their min–max across processes,
 //!    and the reported hit rate is the timed passes' own.
 //! 4. **router scaling** — a fixed-size working set served at 1, 2 and 4
 //!    `Router` replicas, each replica's LRU cache sized at 40% of the
@@ -34,7 +38,9 @@
 //!    router with one `Router::publish` fired mid-stream: every reply is
 //!    audited via `wait_versioned` against offline references for *both*
 //!    checkpoints — zero dropped, zero mismatched, every reply bitwise the
-//!    output of exactly the version that tagged it.
+//!    output of exactly the version that tagged it. The section reports
+//!    the publish's wall time, which includes the new version's road
+//!    forward and the drain of the old version's in-flight batches.
 //!
 //! Results land in `BENCH_serve.json` at the repo root.
 //!
@@ -57,12 +63,6 @@ struct Figures {
     requests: usize,
     per_call_secs: f64,
     service_secs: f64,
-    /// Requests in one pass of the cached stream.
-    cached_requests: usize,
-    /// Seconds of each timed pass of the cached stream.
-    cached_pass_secs: Vec<f64>,
-    /// Hit rate of the timed cached passes alone (the warm-up excluded).
-    cached_hit_rate: f64,
     stats: ServiceStats,
 }
 
@@ -73,14 +73,6 @@ impl Figures {
     fn service_rps(&self) -> f64 {
         self.requests as f64 / self.service_secs
     }
-    /// `(median, min, max)` requests per second over the timed cached
-    /// passes; the median of an even count is the upper one.
-    fn cached_rps(&self) -> (f64, f64, f64) {
-        let mut rps: Vec<f64> =
-            self.cached_pass_secs.iter().map(|s| self.cached_requests as f64 / s).collect();
-        rps.sort_by(f64::total_cmp);
-        (rps[rps.len() / 2], rps[0], rps[rps.len() - 1])
-    }
     fn speedup(&self) -> f64 {
         self.service_rps() / self.per_call_rps()
     }
@@ -88,8 +80,18 @@ impl Figures {
 
 /// The timed cached phase runs at least this many passes of the stream...
 const CACHED_MIN_PASSES: usize = 5;
-/// ...and at least this many seconds in all.
+/// ...and at least this many seconds in all...
 const CACHED_MIN_SECS: f64 = 0.2;
+/// ...in each of this many child processes.
+const CACHED_PROCESSES: usize = 3;
+
+/// `(median, min, max)` of `xs`; the median of an even count is the upper
+/// one.
+fn median_min_max(xs: &[f64]) -> (f64, f64, f64) {
+    let mut xs = xs.to_vec();
+    xs.sort_by(f64::total_cmp);
+    (xs[xs.len() / 2], xs[0], xs[xs.len() - 1])
+}
 
 fn serve_config(workers: usize, cache_capacity: usize) -> ServeConfig {
     ServeConfig::builder()
@@ -142,46 +144,96 @@ fn run(model: &Arc<StartModel>, requests: &[Trajectory]) -> Figures {
         }
     }
 
-    // 3. A skewed stream with the cache on: each distinct trajectory ~4×,
-    // timed after one untimed pass over the distinct set fills the cache,
-    // and repeated until enough passes and time have run to read a rate.
-    let distinct = (requests.len() / 4).max(1);
-    let cached_stream: Vec<Trajectory> =
-        (0..requests.len()).map(|i| requests[(i * 7919) % distinct].clone()).collect();
-    let service = one_replica(model, serve_config(1, 4096));
-    service.encode(&requests[..distinct]).expect("cache warm-up encode");
-    let warm = only(service.stats()).cache;
-    let mut cached_pass_secs = Vec::new();
-    while cached_pass_secs.len() < CACHED_MIN_PASSES
-        || cached_pass_secs.iter().sum::<f64>() < CACHED_MIN_SECS
-    {
-        let (cached_out, secs) =
-            timed(|| service.encode(&cached_stream).expect("cached service encode"));
-        cached_pass_secs.push(secs.as_secs_f64());
-        for (out, t_idx) in
-            cached_out.iter().zip((0..requests.len()).map(|i| (i * 7919) % distinct))
-        {
-            let reference = &per_call_out[t_idx];
-            assert!(
-                out.iter().zip(reference).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "cached answer diverged from the per-call encode"
-            );
-        }
-    }
-    let end = only(service.shutdown()).cache;
-    let cached_hit_rate =
-        CacheStats { hits: end.hits - warm.hits, misses: end.misses - warm.misses, ..end }
-            .hit_rate();
-
     Figures {
         requests: requests.len(),
         per_call_secs: per_call_secs.as_secs_f64(),
         service_secs: service_secs.as_secs_f64(),
-        cached_requests: cached_stream.len(),
-        cached_pass_secs,
-        cached_hit_rate,
         stats,
     }
+}
+
+// ---------------------------------------------------------------------------
+// Section 3: cached serving, one child process per repeat
+// ---------------------------------------------------------------------------
+
+/// Child side of section 3: a skewed stream with the cache on, each
+/// distinct trajectory ~4×, timed after one untimed pass over the distinct
+/// set fills the cache, and repeated until enough passes and time have run
+/// to read a rate. Emits `median_rps passes hit_rate requests_per_pass`.
+fn run_cached_child(smoke: bool) {
+    let scale = scale_for(smoke);
+    let (model, requests) = bench_model_and_requests(&scale, &bj_mini(&scale), smoke);
+    let distinct = (requests.len() / 4).max(1);
+    let reference = model
+        .encoder()
+        .encode(&requests[..distinct], &EncodeOptions::default())
+        .expect("reference");
+    let cached_idx: Vec<usize> = (0..requests.len()).map(|i| (i * 7919) % distinct).collect();
+    let cached_stream: Vec<Trajectory> = cached_idx.iter().map(|&i| requests[i].clone()).collect();
+    let service = one_replica(&model, serve_config(1, 4096));
+    service.encode(&requests[..distinct]).expect("cache warm-up encode");
+    let warm = only(service.stats()).cache;
+    let mut pass_secs = Vec::new();
+    while pass_secs.len() < CACHED_MIN_PASSES || pass_secs.iter().sum::<f64>() < CACHED_MIN_SECS {
+        let (cached_out, secs) =
+            timed(|| service.encode(&cached_stream).expect("cached service encode"));
+        pass_secs.push(secs.as_secs_f64());
+        for (out, &i) in cached_out.iter().zip(&cached_idx) {
+            assert!(
+                out.iter().zip(&reference[i]).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "cached answer diverged from the offline encode"
+            );
+        }
+    }
+    let end = only(service.shutdown()).cache;
+    let hit_rate =
+        CacheStats { hits: end.hits - warm.hits, misses: end.misses - warm.misses, ..end }
+            .hit_rate();
+    let rps: Vec<f64> = pass_secs.iter().map(|s| cached_stream.len() as f64 / s).collect();
+    let (median, _, _) = median_min_max(&rps);
+    emit_result(&format!("{median:.3} {} {hit_rate:.4} {}", rps.len(), cached_stream.len()));
+}
+
+/// Section 3's figures across its child processes.
+#[derive(Default)]
+struct Cached {
+    requests_per_pass: usize,
+    /// Timed passes of each process.
+    passes: Vec<usize>,
+    /// Median pass rate of each process.
+    process_rps: Vec<f64>,
+    /// Timed-pass hit rate of each process.
+    hit_rates: Vec<f64>,
+}
+
+/// Parent side of section 3: [`CACHED_PROCESSES`] children, one at a time.
+fn run_cached_sweep(smoke: bool) -> Cached {
+    let mut cached = Cached::default();
+    for i in 0..CACHED_PROCESSES {
+        let mut args = vec!["--cached-child".to_string()];
+        if smoke {
+            args.push("--smoke".to_string());
+        }
+        let payload = run_child(&format!("cached-{i}"), args);
+        let mut parts = payload.split_whitespace();
+        let mut next = |what: &str| -> f64 {
+            parts.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| panic!("{what} payload"))
+        };
+        cached.process_rps.push(next("rps"));
+        cached.passes.push(next("passes") as usize);
+        cached.hit_rates.push(next("hit-rate"));
+        cached.requests_per_pass = next("requests") as usize;
+    }
+    cached
+}
+
+/// Run one child of this executable as a sweep of one job, so timed
+/// children never share the core, and return its result payload.
+fn run_child(name: &str, args: Vec<String>) -> String {
+    let exe = std::env::current_exe().expect("current exe path");
+    let job = SweepJob::new(name, args);
+    let runs = run_sweep(&exe, std::slice::from_ref(&job)).expect("child sweep");
+    runs.into_iter().next().expect("one run per sweep").payload
 }
 
 fn print_figures(f: &Figures) {
@@ -199,12 +251,16 @@ fn print_figures(f: &Figures) {
         f.stats.encode.p99_us,
         f.stats.mean_batch_size()
     );
-    let (median, min, max) = f.cached_rps();
+}
+
+fn print_cached(c: &Cached) {
+    let (median, min, max) = median_min_max(&c.process_rps);
     println!(
-        "  service (cache on)    : {median:.2} req/s median of {} passes (min {min:.2}, max \
-         {max:.2}), timed-pass hit rate {:.3}",
-        f.cached_pass_secs.len(),
-        f.cached_hit_rate
+        "  service (cache on)    : {median:.2} req/s median of {} process medians (min {min:.2}, \
+         max {max:.2}; {:?} passes), timed-pass hit rates {:?}",
+        c.process_rps.len(),
+        c.passes,
+        c.hit_rates
     );
 }
 
@@ -262,13 +318,11 @@ fn run_scaling_child(replicas: usize, smoke: bool) {
     let wl = ScalingWorkload::new(smoke);
     let pool = request_pool(&ds, wl.working_set);
 
-    // Single-request batches: the road-representation forward dominates a
-    // batch's cost and is skipped only when *every* view in the batch is
-    // cached, so at `max_batch` 32 a 77%-hit replica still pays it for
-    // ~every batch (0.77^32 ≈ 0) and the cache win vanishes into batch
-    // amortization. With one view per batch, served cost tracks the miss
-    // count — which is exactly what the aggregate-cache-capacity story
-    // says should shrink as replicas are added.
+    // Single-request batches: a batch's cost is one per-view TAT-Enc per
+    // miss (the road matrix is built once, at start), so with one view per
+    // batch served cost tracks the miss count — which is exactly what the
+    // aggregate-cache-capacity story says should shrink as replicas are
+    // added.
     let serve = ServeConfig::builder()
         .workers(1)
         .max_batch(1)
@@ -316,7 +370,6 @@ struct ScalingPoint {
 /// share the single core, so the fan-out here is across *sweeps*, not
 /// within one.
 fn run_scaling_sweep(replica_counts: &[usize], smoke: bool) -> Vec<ScalingPoint> {
-    let exe = std::env::current_exe().expect("current exe path");
     replica_counts
         .iter()
         .map(|&replicas| {
@@ -324,10 +377,8 @@ fn run_scaling_sweep(replica_counts: &[usize], smoke: bool) -> Vec<ScalingPoint>
             if smoke {
                 args.push("--smoke".to_string());
             }
-            let job = SweepJob::new(format!("replicas-{replicas}"), args);
-            let runs = run_sweep(&exe, std::slice::from_ref(&job)).expect("scaling sweep");
-            let run = runs.into_iter().next().expect("one run per sweep");
-            let mut parts = run.payload.split_whitespace();
+            let payload = run_child(&format!("replicas-{replicas}"), args);
+            let mut parts = payload.split_whitespace();
             let rps: f64 = parts.next().and_then(|s| s.parse().ok()).expect("rps payload");
             let hit_rate: f64 =
                 parts.next().and_then(|s| s.parse().ok()).expect("hit-rate payload");
@@ -349,6 +400,8 @@ struct SwapAudit {
     dropped: usize,
     mismatched: usize,
     drained_batches: u64,
+    /// Wall time of the mid-stream `Router::publish`.
+    publish_secs: f64,
 }
 
 /// Submit a request stream to a 2-replica router, publish checkpoint `next`
@@ -382,7 +435,7 @@ fn run_swap_audit(
     // Let a few old-version micro-batches flush, then swap while the rest
     // are still queued or in flight.
     std::thread::sleep(Duration::from_millis(5));
-    let drained_batches = router.publish(next).expect("mid-stream publish").drained_batches;
+    let (report, publish) = timed(|| router.publish(next).expect("mid-stream publish"));
 
     let mut audit = SwapAudit {
         requests: requests.len(),
@@ -390,7 +443,8 @@ fn run_swap_audit(
         replies_v1: 0,
         dropped: 0,
         mismatched: 0,
-        drained_batches,
+        drained_batches: report.drained_batches,
+        publish_secs: publish.as_secs_f64(),
     };
     for (i, h) in handles.into_iter().enumerate() {
         match h.wait_versioned() {
@@ -438,6 +492,19 @@ fn request_pool(ds: &start_traj::TrajDataset, n: usize) -> Vec<Trajectory> {
     pool
 }
 
+/// The benchmark model (seed 77) over bj-mini, and the request stream of
+/// sections 1–3.
+fn bench_model_and_requests(
+    scale: &Scale,
+    ds: &start_traj::TrajDataset,
+    smoke: bool,
+) -> (Arc<StartModel>, Vec<Trajectory>) {
+    let model =
+        Arc::new(StartModel::new(start_config(scale), &ds.city.net, Some(&ds.transfer), None, 77));
+    let n = if smoke { 48 } else { 512.min(ds.test().len() + ds.train().len()) };
+    (model, request_pool(ds, n))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -447,18 +514,21 @@ fn main() {
         run_scaling_child(replicas, smoke);
         return;
     }
+    if args.iter().any(|a| a == "--cached-child") {
+        run_cached_child(smoke);
+        return;
+    }
 
     println!("bench_serve: micro-batched serving vs per-call encoding");
     let scale = scale_for(smoke);
     println!("  building bj-mini at scale `{}`...", scale.name);
     let ds = bj_mini(&scale);
-    let model =
-        Arc::new(StartModel::new(start_config(&scale), &ds.city.net, Some(&ds.transfer), None, 77));
-    let n = if smoke { 48 } else { 512.min(ds.test().len() + ds.train().len()) };
-    let requests = request_pool(&ds, n);
+    let (model, requests) = bench_model_and_requests(&scale, &ds, smoke);
 
     let figs = run(&model, &requests);
     print_figures(&figs);
+    let cached = run_cached_sweep(smoke);
+    print_cached(&cached);
 
     // Section 5: mid-stream hot swap, audited reply by reply. The next
     // checkpoint is the same architecture at different weights (a fresh
@@ -471,13 +541,14 @@ fn main() {
     let audit = run_swap_audit(&model, next, &audit_stream);
     println!(
         "  hot swap              : {} replies ({} v0 / {} v1), {} dropped, {} mismatched, \
-         {} batches drained at swap",
+         {} batches drained at swap, publish {:.2} ms",
         audit.requests,
         audit.replies_v0,
         audit.replies_v1,
         audit.dropped,
         audit.mismatched,
-        audit.drained_batches
+        audit.drained_batches,
+        audit.publish_secs * 1e3
     );
     assert_eq!(audit.dropped, 0, "hot swap dropped replies");
     assert_eq!(audit.mismatched, 0, "hot swap produced replies matching neither checkpoint");
@@ -544,13 +615,28 @@ fn main() {
     );
     let _ = writeln!(json, "  \"mean_batch_size\": {:.2},", figs.stats.mean_batch_size());
     let _ = writeln!(json, "  \"cached\": {{");
-    let (cached_median, cached_min, cached_max) = figs.cached_rps();
-    let _ = writeln!(json, "    \"requests_per_pass\": {},", figs.cached_requests);
-    let _ = writeln!(json, "    \"timed_passes\": {},", figs.cached_pass_secs.len());
+    let (cached_median, cached_min, cached_max) = median_min_max(&cached.process_rps);
+    let list = |xs: Vec<String>| xs.join(", ");
+    let _ = writeln!(json, "    \"processes\": {},", cached.process_rps.len());
+    let _ = writeln!(json, "    \"requests_per_pass\": {},", cached.requests_per_pass);
+    let _ = writeln!(
+        json,
+        "    \"timed_passes\": [{}],",
+        list(cached.passes.iter().map(|p| p.to_string()).collect())
+    );
+    let _ = writeln!(
+        json,
+        "    \"process_median_rps\": [{}],",
+        list(cached.process_rps.iter().map(|r| format!("{r:.2}")).collect())
+    );
     let _ = writeln!(json, "    \"service_rps\": {cached_median:.2},");
     let _ = writeln!(json, "    \"service_rps_min\": {cached_min:.2},");
     let _ = writeln!(json, "    \"service_rps_max\": {cached_max:.2},");
-    let _ = writeln!(json, "    \"hit_rate\": {:.3}", figs.cached_hit_rate);
+    let _ = writeln!(
+        json,
+        "    \"hit_rate\": [{}]",
+        list(cached.hit_rates.iter().map(|h| format!("{h:.3}")).collect())
+    );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"scaling\": [");
     for (i, p) in points.iter().enumerate() {
@@ -573,7 +659,8 @@ fn main() {
     let _ = writeln!(json, "    \"replies_v1\": {},", audit.replies_v1);
     let _ = writeln!(json, "    \"dropped\": {},", audit.dropped);
     let _ = writeln!(json, "    \"mismatched\": {},", audit.mismatched);
-    let _ = writeln!(json, "    \"drained_batches_at_swap\": {}", audit.drained_batches);
+    let _ = writeln!(json, "    \"drained_batches_at_swap\": {},", audit.drained_batches);
+    let _ = writeln!(json, "    \"publish_ms\": {:.3}", audit.publish_secs * 1e3);
     let _ = writeln!(json, "  }}");
     json.push_str("}\n");
 

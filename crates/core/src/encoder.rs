@@ -15,12 +15,19 @@
 //! - **Validation** (typed [`EncodeError`], no asserts): empty views are
 //!   rejected; over-long views are clamped to `cfg.max_len` (the prefix is
 //!   kept), so a view longer than the model takes never fails.
+//! - **One road forward per call**: TPE-GAT's `(|V|, d)` road matrix
+//!   depends only on the weights, so an inference call computes it once,
+//!   on an eval tape of its own whose buffers the chunks then reuse, and
+//!   only if the call has a cache miss (an all-hit call runs no road
+//!   forward). A [`FrozenModel`] computes it once
+//!   per model version instead; the serving tier encodes through one.
 //! - **Chunked pooled tapes**: views are encoded 64 at a time on an
-//!   eval-mode [`Graph`] that computes the road representation matrix once
-//!   per chunk; after every view the tape is pruned with
+//!   eval-mode [`Graph`] that binds the road matrix as a constant leaf
+//!   ([`Graph::input`]); after every view the tape is pruned with
 //!   [`Graph::forward_release`] (keeping only the road matrix), so peak
 //!   memory stays at one-view scale whatever the chunk holds. Buffers cycle
-//!   through a [`BufferPool`] across chunks.
+//!   through a [`BufferPool`] across chunks. Training tapes do not take
+//!   this path: their gradients must flow through the GAT.
 //! - **Threading**: with `threads > 1`, whole chunks are distributed
 //!   round-robin over scoped workers. Chunk boundaries are identical to the
 //!   single-thread schedule and each view's embedding depends only on the
@@ -41,7 +48,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use start_nn::graph::Graph;
-use start_nn::BufferPool;
+use start_nn::{Array, BufferPool};
 use start_traj::{TrajView, Trajectory};
 
 use crate::model::{clamp_view, StartModel};
@@ -53,8 +60,8 @@ pub type Embedding = Vec<f32>;
 // Options and errors
 // ---------------------------------------------------------------------------
 
-/// Views per tape chunk: the road representation matrix is computed once
-/// per chunk. One definition for the [`Encoder`] and the default
+/// Views per tape chunk: each chunk records on one pooled tape that binds
+/// the road matrix once. One definition for the [`Encoder`] and the default
 /// [`crate::downstream::TrajEncoder::embed_views`].
 pub(crate) const CHUNK: usize = 64;
 
@@ -351,15 +358,62 @@ impl EmbeddingCache {
 // ---------------------------------------------------------------------------
 
 /// The single inference entry point, borrowed from a [`StartModel`] via
-/// [`StartModel::encoder`]. See the module docs for the contract.
+/// [`StartModel::encoder`] or from a [`FrozenModel`] via
+/// [`FrozenModel::encoder`]. See the module docs for the contract.
 pub struct Encoder<'m> {
     model: &'m StartModel,
+    /// The model's road matrix when it was built ahead of the call; `None`
+    /// builds it inside the call, once, if the call has a cache miss.
+    roads: Option<&'m Array>,
 }
 
 impl StartModel {
     /// Borrow the unified inference facade for this model.
     pub fn encoder(&self) -> Encoder<'_> {
-        Encoder { model: self }
+        Encoder { model: self, roads: None }
+    }
+}
+
+/// The eval-mode `(|V|, d)` road matrix of `model`, on a tape of its own
+/// over `pool`. The tape's buffers go back to the returned pool, so the
+/// chunks encoded next reuse them.
+fn road_matrix(model: &StartModel, pool: BufferPool) -> (Array, BufferPool) {
+    let mut g = Graph::with_pool(&model.store, false, pool);
+    let roads = model.road_reprs(&mut g);
+    let matrix = g.value(roads).clone();
+    (matrix, g.into_pool())
+}
+
+/// One model version frozen for inference: the model together with the
+/// road matrix built from it, so no encode can pair one version's TAT-Enc
+/// with another version's road matrix. The matrix is built once, in
+/// [`FrozenModel::new`], and holds `|V| × d × 4` bytes.
+///
+/// The model is taken behind a shared `Arc` and lent out only as
+/// `&StartModel`, so its weights cannot change under the matrix; training
+/// and `adopt_weights` work on a model that is not frozen.
+pub struct FrozenModel {
+    model: Arc<StartModel>,
+    roads: Array,
+}
+
+impl FrozenModel {
+    /// Run `model`'s road stage once and keep its output beside it.
+    pub fn new(model: Arc<StartModel>) -> Self {
+        let (roads, _) = road_matrix(&model, BufferPool::new());
+        Self { model, roads }
+    }
+
+    /// The frozen model.
+    pub fn model(&self) -> &StartModel {
+        &self.model
+    }
+
+    /// The inference facade over this version, reading the prebuilt road
+    /// matrix instead of running the road stage. Bitwise the model's own
+    /// [`StartModel::encoder`].
+    pub fn encoder(&self) -> Encoder<'_> {
+        Encoder { model: &self.model, roads: Some(&self.roads) }
     }
 }
 
@@ -388,7 +442,7 @@ impl<'m> Encoder<'m> {
         views: &[TrajView],
         opts: &EncodeOptions,
     ) -> Result<Vec<Embedding>, EncodeError> {
-        let (out, _pool) = self.encode_views_impl(views, opts, None)?;
+        let (out, _pool) = self.encode_views_impl(views, opts, opts.threads, BufferPool::new())?;
         Ok(out)
     }
 
@@ -403,16 +457,18 @@ impl<'m> Encoder<'m> {
         opts: &EncodeOptions,
         pool: BufferPool,
     ) -> Result<(Vec<Embedding>, BufferPool), EncodeError> {
-        let (out, pool) = self.encode_views_impl(views, opts, Some(pool))?;
-        Ok((out, pool.unwrap_or_default()))
+        self.encode_views_impl(views, opts, 1, pool)
     }
 
+    /// The one encode path: `threads` is `opts.threads`, or 1 for a pooled
+    /// call.
     fn encode_views_impl(
         &self,
         views: &[TrajView],
         opts: &EncodeOptions,
-        pool: Option<BufferPool>,
-    ) -> Result<(Vec<Embedding>, Option<BufferPool>), EncodeError> {
+        threads: usize,
+        pool: BufferPool,
+    ) -> Result<(Vec<Embedding>, BufferPool), EncodeError> {
         if opts.threads == 0 {
             return Err(EncodeError::ZeroThreads);
         }
@@ -442,7 +498,14 @@ impl<'m> Encoder<'m> {
         }
 
         let miss_views: Vec<&TrajView> = misses.iter().map(|m| &m.view).collect();
-        let (encoded, pool) = self.encode_unique(&miss_views, opts, pool);
+        let (encoded, pool) = match self.roads {
+            _ if misses.is_empty() => (Vec::new(), pool),
+            Some(roads) => self.encode_unique(&miss_views, roads, threads, pool),
+            None => {
+                let (roads, pool) = road_matrix(self.model, pool);
+                self.encode_unique(&miss_views, &roads, threads, pool)
+            }
+        };
 
         for (group, mut emb) in misses.iter().zip(encoded) {
             if let Some(cache) = &opts.cache {
@@ -465,25 +528,26 @@ impl<'m> Encoder<'m> {
         Ok((out, pool))
     }
 
-    /// Encode already-validated, already-deduplicated views. The chunk
-    /// schedule is fixed by [`CHUNK`]; `threads > 1` only changes which
-    /// worker runs a chunk, never its boundaries or its content.
+    /// Encode already-validated, already-deduplicated views against the
+    /// model's road matrix `roads`. The chunk schedule is fixed by
+    /// [`CHUNK`]; `threads > 1` only changes which worker runs a chunk,
+    /// never its boundaries or its content.
     fn encode_unique(
         &self,
         views: &[&TrajView],
-        opts: &EncodeOptions,
-        pool: Option<BufferPool>,
-    ) -> (Vec<Embedding>, Option<BufferPool>) {
+        roads: &Array,
+        threads: usize,
+        mut pool: BufferPool,
+    ) -> (Vec<Embedding>, BufferPool) {
         let num_chunks = views.len().div_ceil(CHUNK);
-        let threads = opts.threads.min(num_chunks).max(1);
+        let threads = threads.min(num_chunks).max(1);
 
-        if threads == 1 || pool.is_some() {
-            let mut p = pool.unwrap_or_default();
+        if threads == 1 {
             let mut out = Vec::with_capacity(views.len());
             for part in views.chunks(CHUNK) {
-                p = self.encode_chunk(part, p, &mut out);
+                pool = self.encode_chunk(part, roads, pool, &mut out);
             }
-            return (out, Some(p));
+            return (out, pool);
         }
 
         // Chunks are dealt round-robin; worker w owns chunks w, w+T, w+2T, …
@@ -503,7 +567,7 @@ impl<'m> Encoder<'m> {
                     let mut done = Vec::with_capacity(mine.len());
                     for (idx, part) in mine {
                         let mut embs = Vec::with_capacity(part.len());
-                        p = self.encode_chunk(part, p, &mut embs);
+                        p = self.encode_chunk(part, roads, p, &mut embs);
                         done.push((idx, embs));
                     }
                     done
@@ -517,22 +581,24 @@ impl<'m> Encoder<'m> {
             }
         })
         .unwrap_or_else(|e| std::panic::resume_unwind(e));
-        (per_chunk.into_iter().flatten().collect(), None)
+        (per_chunk.into_iter().flatten().collect(), pool)
     }
 
-    /// One chunk on one pooled eval tape: road representations computed
-    /// once, the tape pruned back to them after every view.
+    /// One chunk on one pooled eval tape: the road matrix bound once as a
+    /// constant leaf, the tape pruned back to it after every view.
     fn encode_chunk(
         &self,
         views: &[&TrajView],
-        pool: BufferPool,
+        roads: &Array,
+        mut pool: BufferPool,
         out: &mut Vec<Embedding>,
     ) -> BufferPool {
         // Dropout is inert on an eval tape, so this rng is never drawn; it
         // exists to satisfy the recording API and keep one code path.
         let mut rng = StdRng::seed_from_u64(0);
+        let leaf = pool.array_copy(roads);
         let mut g = Graph::with_pool(&self.model.store, false, pool);
-        let roads = self.model.road_reprs(&mut g);
+        let roads = g.input(leaf);
         for view in views {
             let enc = self.model.encode_view(&mut g, view, roads, &mut rng);
             out.push(g.value(enc.pooled).row(0).to_vec());
@@ -608,6 +674,54 @@ mod tests {
             let got = model.encoder().encode(&data, &opts).unwrap();
             assert_eq!(bits(&base), bits(&got), "threads={threads} diverged");
         }
+    }
+
+    /// Today's per-chunk computation, one view at a time: a fresh eval
+    /// tape that runs the road stage, then TAT-Enc over the view.
+    fn oracle(model: &StartModel, views: &[TrajView]) -> Vec<Embedding> {
+        let mut rng = StdRng::seed_from_u64(0);
+        views
+            .iter()
+            .map(|view| {
+                let mut g = Graph::new(&model.store, false);
+                let roads = model.road_reprs(&mut g);
+                let view = clamp_view(view.clone(), model.cfg.max_len);
+                let enc = model.encode_view(&mut g, &view, roads, &mut rng);
+                g.value(enc.pooled).row(0).to_vec()
+            })
+            .collect()
+    }
+
+    /// The road matrix built once per call (or once per [`FrozenModel`])
+    /// and bound as a constant leaf gives the bits of running the road
+    /// stage on every view's own tape, on every schedule: thread counts,
+    /// a warm pool, a cached second call and the frozen facade.
+    #[test]
+    fn hoisted_road_matrix_is_bitwise_the_per_view_oracle() {
+        let (city, data, tm) = setup(150);
+        assert!(data.len() > 2 * CHUNK && data.len() % CHUNK != 0, "{} views", data.len());
+        let model = StartModel::new(StartConfig::test_scale(), &city.net, Some(&tm), None, 7);
+        let views: Vec<TrajView> = data.iter().map(TrajView::identity).collect();
+        let want = bits(&oracle(&model, &views));
+        for threads in 1..=4 {
+            let opts = EncodeOptions { threads, cache: None };
+            let got = model.encoder().encode(&data, &opts).unwrap();
+            assert_eq!(bits(&got), want, "threads={threads}");
+        }
+        let opts = EncodeOptions::default();
+        let (_, pool) =
+            model.encoder().encode_views_pooled(&views, &opts, BufferPool::new()).unwrap();
+        let (warm, _) = model.encoder().encode_views_pooled(&views, &opts, pool).unwrap();
+        assert_eq!(bits(&warm), want, "warm pool");
+        let cache = Arc::new(EmbeddingCache::new(256, 0));
+        let cached = EncodeOptions { cache: Some(cache.clone()), ..EncodeOptions::default() };
+        let _ = model.encoder().encode_views(&views, &cached).unwrap();
+        let again = model.encoder().encode_views(&views, &cached).unwrap();
+        assert_eq!(cache.stats().hits, views.len() as u64, "second call must be all hits");
+        assert_eq!(bits(&again), want, "cached second call");
+        let frozen = FrozenModel::new(Arc::new(model));
+        let got = frozen.encoder().encode_views(&views, &opts).unwrap();
+        assert_eq!(bits(&got), want, "frozen model");
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use downstream::{
 };
 pub use encoder::{
     fingerprint_view, CacheStats, Embedding, EmbeddingCache, EncodeError, EncodeOptions, Encoder,
-    Fingerprint,
+    Fingerprint, FrozenModel,
 };
 pub use model::{clamp_view, departure_only_view, EncodedView, StartModel};
 pub use pretrain::{

@@ -32,12 +32,15 @@ pub enum IndexKind {
 pub struct ServeConfig {
     /// Encode worker threads (minimum 1).
     pub workers: usize,
-    /// Flush a micro-batch at this many requests. A batch of up to 64
-    /// requests runs one TPE-GAT road forward; a batch of `n > 64` runs
-    /// ⌈n/64⌉, one per encoder chunk.
+    /// Flush a micro-batch at this many requests. No batch runs the
+    /// TPE-GAT road stage: the router builds the road matrix once per
+    /// model version, so a batch pays only per-view TAT-Enc, cache lookups
+    /// and one tape per 64 views.
     pub max_batch: usize,
     /// Flush a micro-batch this long after its first request is picked up,
-    /// even if it is not full. Zero disables batching-by-wait.
+    /// even if it is not full. Zero disables batching-by-wait; a budget too
+    /// large to add to the clock (such as `Duration::MAX`) waits untimed,
+    /// for a full batch or a shutdown.
     pub max_wait: Duration,
     /// Bounded submission-queue capacity; `submit` blocks and `try_submit`
     /// fails once this many requests are pending.

@@ -16,9 +16,12 @@
 //! replica count. Everything answers through typed handles with a typed
 //! [`ServeError`] surface.
 //!
-//! Checkpoints hot-swap without downtime: [`Router::publish`]
-//! double-buffers the model behind the one versioned slot every replica
-//! reads, drains in-flight micro-batches on the old version, and starts
+//! The slot holds each model version as a
+//! [`FrozenModel`](start_core::FrozenModel): the weights with the TPE-GAT
+//! road matrix built from them, once per version, so no micro-batch runs
+//! the road stage. Checkpoints hot-swap without downtime:
+//! [`Router::publish`] double-buffers the model behind the one versioned
+//! slot every replica reads, drains in-flight micro-batches on the old version, and starts
 //! fresh caches at the new version epoch — zero dropped replies, zero
 //! stale bits, every reply tagged with the version that produced it
 //! ([`EmbeddingHandle::wait_versioned`]).

@@ -29,21 +29,26 @@
 //!
 //! ## Hot swap
 //!
-//! The router holds one model slot — `(version, model, one cache per
-//! replica, in-flight counter)` behind one `RwLock` — that every replica
-//! reads, so there is one model version router-wide.
-//! [`Router::publish`] swaps it once and drains the old version's
-//! in-flight micro-batches once (see the `service` module docs): every
+//! The router holds one model slot — `(version, frozen model, one cache
+//! per replica, in-flight counter)` behind one `RwLock` — that every
+//! replica reads, so there is one model version router-wide. The frozen
+//! model ([`FrozenModel`]) is the weights plus the TPE-GAT road matrix
+//! built from them: [`Router::start`] and [`Router::publish`] run the road
+//! stage once per version, before the slot's write lock, and no
+//! micro-batch runs it again. [`Router::publish`] swaps the slot once and
+//! drains the old version's in-flight micro-batches once (see the
+//! `service` module docs): every
 //! reply is tagged with the version that produced it, and every kNN entry
 //! with the version that produced its vector.
 //!
 //! [`EmbeddingCache`]: start_core::EmbeddingCache
+//! [`FrozenModel`]: start_core::FrozenModel
 
 use std::collections::HashMap;
 use std::thread::JoinHandle;
 
 use start_core::encoder::fingerprint_view;
-use start_core::{Embedding, StartModel};
+use start_core::{Embedding, FrozenModel, StartModel};
 use start_sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use start_traj::{TrajView, Trajectory};
 
@@ -154,10 +159,10 @@ impl RouterStats {
 
 impl Router {
     /// Spawn `cfg.replicas` replicas over one model slot holding `model`
-    /// as version 0 and one empty kNN index, and return the running
-    /// router. Defensive: a zero replica or worker count is normalized to
-    /// 1 — build configs through [`RouterConfig::builder`] for typed
-    /// validation instead.
+    /// (with its road matrix, built here) as version 0 and one empty kNN
+    /// index, and return the running router. Defensive: a zero replica or
+    /// worker count is normalized to 1 — build configs through
+    /// [`RouterConfig::builder`] for typed validation instead.
     pub fn start(model: Arc<StartModel>, cfg: RouterConfig) -> Self {
         let n = cfg.replicas.max(1);
         let dim = model.cfg.dim;
@@ -166,6 +171,7 @@ impl Router {
             IndexKind::Hnsw(hnsw) => Box::new(Hnsw::new(dim, hnsw.clone())),
         };
         let index = RwLock::new(IndexState { index, versions: HashMap::new() });
+        let model = Arc::new(FrozenModel::new(model));
         let slot = Arc::new(RwLock::new(ModelSlot::new(0, model, &cfg.serve, n)));
         let mut workers = Vec::new();
         let replicas = (0..n)
@@ -236,18 +242,25 @@ impl Router {
     /// untouched; entries of prior versions are reported as
     /// [`RouterStats::stale_index_entries`].
     ///
+    /// The new version's road matrix is built before the slot is locked,
+    /// so workers keep serving the old version during that forward; the
+    /// reported wall time of a publish includes it.
+    ///
     /// A model whose dimension differs from the serving one (and so from
     /// the index) is refused with [`ServeError::DimensionMismatch`] before
-    /// anything swaps.
+    /// anything swaps, and before any road forward runs.
     pub fn publish(&self, model: Arc<StartModel>) -> Result<PublishReport, ServeError> {
+        // Every version has the dimension of version 0, so this read needs
+        // no write lock.
+        let expected = read_slot(&self.slot).model.model().cfg.dim;
+        if model.cfg.dim != expected {
+            // Counted like any refused request, on the first replica.
+            self.replicas[0].reject();
+            return Err(ServeError::DimensionMismatch { expected, got: model.cfg.dim });
+        }
+        let model = Arc::new(FrozenModel::new(model));
         let old = {
             let mut slot = self.slot.write().unwrap_or_else(PoisonError::into_inner);
-            let expected = slot.model.cfg.dim;
-            if model.cfg.dim != expected {
-                // Counted like any refused request, on the first replica.
-                self.replicas[0].reject();
-                return Err(ServeError::DimensionMismatch { expected, got: model.cfg.dim });
-            }
             let n = self.replicas.len();
             let fresh = ModelSlot::new(slot.version + 1, model, &self.replicas[0].cfg, n);
             std::mem::replace(&mut *slot, fresh)

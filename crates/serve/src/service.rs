@@ -5,22 +5,28 @@
 //! Requests enter through the router's `submit` (blocking backpressure)
 //! or `try_submit` (fail-fast `QueueFull`). A worker that finds work open
 //! starts a micro-batch: it keeps absorbing requests until the batch
-//! reaches `max_batch` or the `max_wait` budget expires, then encodes the
-//! whole batch on its privately owned tape [`BufferPool`] through the
-//! unified [`Encoder`](start_core::encoder::Encoder) facade — which
-//! deduplicates identical views, consults this replica's
-//! [`EmbeddingCache`], and produces the same bits as a single-threaded
+//! reaches `max_batch` or the `max_wait` budget expires (a budget too
+//! large to put on the clock waits untimed, for a full batch or shutdown),
+//! then encodes the whole batch on its privately owned tape [`BufferPool`]
+//! through the unified [`Encoder`](start_core::encoder::Encoder) facade —
+//! which deduplicates identical views, consults this replica's
+//! [`EmbeddingCache`], reads the slot's prebuilt road matrix instead of
+//! running TPE-GAT, and produces the same bits as a single-threaded
 //! `encode` call. Each request is answered over its own channel, so batch
 //! composition never changes what a caller observes, only when.
 //!
 //! ## The shared model slot
 //!
 //! Every replica of one router reads the same `ModelSlot`: `(version,
-//! Arc<StartModel>, one cache per replica, in-flight counter)` behind one
-//! `RwLock`. Every micro-batch pins the slot once — it clones the `Arc`s,
-//! registers with the slot's in-flight counter *while still holding the
-//! read lock*, then encodes without any lock held. `Router::publish`
-//! write-locks the slot once, installs the new model under `version + 1`
+//! Arc<FrozenModel>, one cache per replica, in-flight counter)` behind one
+//! `RwLock`. The [`FrozenModel`] is the version's weights together with the
+//! `(|V|, d)` road matrix built from them, so the slot holds one TPE-GAT
+//! forward per version (960 × 48 × 4 B = 184 KB on the benchmark city; two
+//! versions are live while a publish drains). Every micro-batch pins the
+//! slot once — it clones the `Arc`s, registers with the slot's in-flight
+//! counter *while still holding the read lock*, then encodes without any
+//! lock held. `Router::publish` builds the new version's road matrix
+//! before it takes any lock, write-locks the slot once, installs the new model under `version + 1`
 //! with **fresh** caches pinned to the new epoch, releases the lock, and
 //! then drains — waits until the old slot's in-flight count reaches zero,
 //! at which point every reply produced from the old weights has already
@@ -50,7 +56,7 @@ use start_sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwL
 use std::time::Instant;
 
 use start_core::encoder::{EmbeddingCache, EncodeError, EncodeOptions};
-use start_core::{CacheStats, Embedding, StartModel};
+use start_core::{CacheStats, Embedding, FrozenModel};
 use start_nn::BufferPool;
 use start_traj::TrajView;
 
@@ -131,11 +137,12 @@ impl Drop for InFlightGuard {
 }
 
 /// One published model version, shared by every replica of a router: the
-/// weights, one cache per replica pinned to this version's epoch, and the
-/// in-flight counter that gates the version's retirement.
+/// weights with their road matrix, one cache per replica pinned to this
+/// version's epoch, and the in-flight counter that gates the version's
+/// retirement.
 pub(crate) struct ModelSlot {
     pub(crate) version: u64,
-    pub(crate) model: Arc<StartModel>,
+    pub(crate) model: Arc<FrozenModel>,
     caches: Vec<Option<Arc<EmbeddingCache>>>,
     pub(crate) in_flight: Arc<InFlight>,
 }
@@ -146,7 +153,7 @@ impl ModelSlot {
     /// structural invalidation).
     pub(crate) fn new(
         version: u64,
-        model: Arc<StartModel>,
+        model: Arc<FrozenModel>,
         cfg: &ServeConfig,
         replicas: usize,
     ) -> Self {
@@ -379,7 +386,10 @@ fn collect_batch(replica: &EmbeddingService) -> Option<Vec<Request>> {
         if let Some(first) = st.queue.pop_front() {
             let mut batch = vec![first];
             let max_batch = replica.cfg.max_batch.max(1);
-            let deadline = Instant::now() + replica.cfg.max_wait;
+            // `None` when the budget overflows the clock: such a budget asks
+            // for an unbounded wait, so the batch waits untimed for a full
+            // batch or a shutdown.
+            let deadline = Instant::now().checked_add(replica.cfg.max_wait);
             loop {
                 while batch.len() < max_batch {
                     match st.queue.pop_front() {
@@ -392,18 +402,24 @@ fn collect_batch(replica: &EmbeddingService) -> Option<Vec<Request>> {
                 if batch.len() >= max_batch || st.shutdown || st.poisoned {
                     break;
                 }
-                // Saturating: a deadline already in the past yields a zero
-                // budget, never an `Instant` subtraction panic — the clock
-                // may jump between the deadline computation and this check.
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    break;
-                }
-                let (guard, _timeout) = replica
-                    .not_empty
-                    .wait_timeout(st, remaining)
-                    .unwrap_or_else(PoisonError::into_inner);
-                st = guard;
+                st = match deadline {
+                    Some(deadline) => {
+                        // Saturating: a deadline already in the past yields
+                        // a zero budget, never an `Instant` subtraction
+                        // panic — the clock may jump between the deadline
+                        // computation and this check.
+                        let remaining = deadline.saturating_duration_since(Instant::now());
+                        if remaining.is_zero() {
+                            break;
+                        }
+                        replica
+                            .not_empty
+                            .wait_timeout(st, remaining)
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0
+                    }
+                    None => replica.not_empty.wait(st).unwrap_or_else(PoisonError::into_inner),
+                };
             }
             drop(st);
             replica.not_full.notify_all();
@@ -440,12 +456,12 @@ fn worker_loop(replica: &EmbeddingService) {
             replica.queue_wait.record_us(wait.as_micros() as u64);
         }
         let views: Vec<TrajView> = batch.iter().map(|r| r.view.clone()).collect();
-        // Pin the slot once per micro-batch: version, weights and cache are
-        // cloned — and the batch registered in-flight — under one read
-        // lock, so a concurrent publish either sees this batch in its
-        // drain or this batch already runs on the new version. The guard
-        // decrements on drop (even through a panic), after the replies
-        // below have been sent.
+        // Pin the slot once per micro-batch: version, weights with their
+        // road matrix, and cache are cloned — and the batch registered
+        // in-flight — under one read lock, so a concurrent publish either
+        // sees this batch in its drain or this batch already runs on the
+        // new version. The guard decrements on drop (even through a
+        // panic), after the replies below have been sent.
         let (version, model, cache, _in_flight) = {
             let slot = read_slot(&replica.slot);
             let cache = slot.caches[replica.shard].clone();

@@ -1,7 +1,8 @@
 //! Executable concurrency models for the serving layer, explored by the
 //! `start_sync` model checker: the submit/flush/shutdown/poison-drain queue
 //! protocol (a faithful skeleton of `service.rs`), the router's one-slot
-//! publish protocol (pin, swap, drain, version-tagged index), and the real
+//! publish protocol (road matrix built before the swap, pin, swap, drain,
+//! version-tagged index), and the real
 //! [`Histogram`] under concurrent recording.
 //!
 //! Each model must stay clean across at least 1,000 distinct schedules —
@@ -260,6 +261,13 @@ fn weight(version: u64) -> u64 {
     10 + version
 }
 
+/// The "road matrix" built from a version's weights (the TPE-GAT forward);
+/// a reply's vector encodes it beside the weights, so an entry that mixes
+/// one version's weights with another's matrix is caught.
+fn roads(weight: u64) -> u64 {
+    2 * weight + 1
+}
+
 /// Skeleton of the router's in-flight counter: the publish drain barrier.
 struct InFlight {
     active: Mutex<u64>,
@@ -292,17 +300,19 @@ impl Drop for InFlightGuard {
     }
 }
 
-/// Skeleton of the router's `ModelSlot`.
+/// Skeleton of the router's `ModelSlot`: the version, its frozen model
+/// (weights and the road matrix built from them) and its drain barrier.
 struct Slot {
     version: u64,
     weight: u64,
+    roads: u64,
     in_flight: Arc<InFlight>,
 }
 
 impl Slot {
-    fn at(version: u64) -> Self {
+    fn new(version: u64, weight: u64, roads: u64) -> Self {
         let in_flight = Arc::new(InFlight { active: Mutex::new(0), zero: Condvar::new() });
-        Self { version, weight: weight(version), in_flight }
+        Self { version, weight, roads, in_flight }
     }
 }
 
@@ -324,7 +334,7 @@ struct SlotModel {
 impl SlotModel {
     fn new() -> Self {
         Self {
-            slot: RwLock::new(Slot::at(0)),
+            slot: RwLock::new(Slot::new(0, weight(0), roads(weight(0)))),
             pinned: std::array::from_fn(|_| AtomicU64::new(0)),
             sent: std::array::from_fn(|_| AtomicU64::new(0)),
             index: Mutex::new(Vec::new()),
@@ -335,26 +345,30 @@ impl SlotModel {
         self.slot.read().unwrap_or_else(PoisonError::into_inner).version
     }
 
-    /// Mirror of `worker_loop`: pin the slot and enter in-flight under one
-    /// read lock, encode lock-free, reply with the version tag, then leave.
+    /// Mirror of `worker_loop`: pin the version, weights, road matrix and
+    /// in-flight registration under one read lock, encode lock-free, reply
+    /// with the version tag, then leave.
     fn worker(&self, requests: mpsc::Receiver<(u64, Reply)>) {
         while let Ok((item, reply)) = requests.recv() {
-            let (version, weight, _in_flight) = {
+            let (version, weight, roads, _in_flight) = {
                 let slot = self.slot.read().unwrap_or_else(PoisonError::into_inner);
                 *slot.in_flight.lock() += 1;
                 self.pinned[slot.version as usize].fetch_add(1, Ordering::SeqCst);
-                (slot.version, slot.weight, InFlightGuard(Arc::clone(&slot.in_flight)))
+                let guard = InFlightGuard(Arc::clone(&slot.in_flight));
+                (slot.version, slot.weight, slot.roads, guard)
             };
-            let _ = reply.send((weight * 100 + item, version));
+            let _ = reply.send((weight * 10_000 + roads * 100 + item, version));
             self.sent[version as usize].fetch_add(1, Ordering::SeqCst);
         }
     }
 
-    /// Mirror of `Router::publish`: swap under one write lock, then drain.
-    fn publish(&self) {
+    /// Mirror of `Router::publish`: build the checkpoint's road matrix
+    /// outside any lock, swap under one write lock, then drain.
+    fn publish(&self, checkpoint: u64) {
+        let matrix = roads(checkpoint);
         let old = {
             let mut slot = self.slot.write().unwrap_or_else(PoisonError::into_inner);
-            let next = Slot::at(slot.version + 1);
+            let next = Slot::new(slot.version + 1, checkpoint, matrix);
             std::mem::replace(&mut *slot, next)
         };
         old.in_flight.drain();
@@ -378,7 +392,8 @@ impl SlotModel {
 /// The router's one-slot protocol, explored over a worker, a publisher
 /// (two publishes) and an indexer (two entries): no deadlock, `publish`
 /// returns only after every old-version reply is sent, and every index
-/// entry is tagged with the version that produced its vector.
+/// entry is tagged with the version whose weights and road matrix both
+/// produced its vector.
 #[test]
 fn router_one_slot_publish_and_index_model_is_clean() {
     let report = check(&cfg(), || {
@@ -391,8 +406,8 @@ fn router_one_slot_publish_and_index_model_is_clean() {
         let p = {
             let m = Arc::clone(&m);
             spawn_named("publisher", move || {
-                m.publish();
-                m.publish();
+                m.publish(weight(1));
+                m.publish(weight(2));
             })
         };
         let i = {
@@ -410,13 +425,19 @@ fn router_one_slot_publish_and_index_model_is_clean() {
         assert_eq!(index.len(), 2, "an index request went unanswered");
         for &(tag, vector) in index.iter() {
             assert_eq!(
-                vector / 100,
+                vector / 10_000,
                 weight(tag),
-                "entry tagged v{tag} holds another version's vector"
+                "entry tagged v{tag} holds another version's weights"
+            );
+            assert_eq!(
+                vector / 100 % 100,
+                roads(weight(tag)),
+                "entry tagged v{tag} was encoded against another version's road matrix"
             );
         }
     });
     report.assert_clean();
+    println!("router one-slot model: {} distinct schedules", report.distinct_schedules);
     assert!(
         report.distinct_schedules >= MIN_SCHEDULES,
         "explored only {} schedules",

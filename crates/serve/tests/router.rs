@@ -286,6 +286,39 @@ fn publish_with_queued_requests_drops_nothing_and_versions_every_reply() {
     assert_eq!(stats.failed(), 0);
 }
 
+/// A checkpoint that differs from version 0 only in its TPE-GAT weights:
+/// every post-swap reply is bitwise the new model's offline encode, so each
+/// version encodes against the road matrix built from its own weights.
+#[test]
+fn road_matrix_is_rebuilt_for_a_gat_only_checkpoint() {
+    let fix = fixture();
+    let mut next = StartModel::new(StartConfig::test_scale(), &fix.city.net, None, None, 47);
+    assert_eq!(next.adopt_weights(&fix.model), next.store.len(), "same architecture");
+    let gat: Vec<_> =
+        next.store.ids().filter(|&id| next.store.name(id).starts_with("gat.")).collect();
+    assert!(!gat.is_empty(), "the model has TPE-GAT parameters");
+    for id in gat {
+        for x in next.store.get_mut(id).data_mut() {
+            *x = *x * 1.5 + 0.01;
+        }
+    }
+    let next = Arc::new(next);
+    let next_reference = next.encoder().encode(&fix.data, &EncodeOptions::default()).unwrap();
+
+    let router = Router::start(Arc::clone(&fix.model), router_config(2, ServeConfig::default()));
+    for (i, emb) in router.encode(&fix.data).unwrap().iter().enumerate() {
+        assert_bits_eq(emb, &fix.reference[i], &format!("pre-swap request {i}"));
+    }
+    router.publish(next).unwrap();
+    for (i, t) in fix.data.iter().enumerate() {
+        let (emb, version) = router.submit(t).unwrap().wait_versioned().unwrap();
+        assert_eq!(version, 1, "request {i} after the publish");
+        assert_bits_eq(&emb, &next_reference[i], &format!("post-swap request {i}"));
+        assert_ne!(emb, fix.reference[i], "request {i} still reads version 0's road matrix");
+    }
+    let _ = router.shutdown();
+}
+
 /// A wrong-dimension checkpoint is refused atomically: a typed error,
 /// nothing swapped, and the router keeps serving version 0 afterwards.
 #[test]

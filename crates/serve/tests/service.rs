@@ -85,6 +85,33 @@ fn service_output_bitwise_matches_the_encoder_for_any_worker_count() {
     }
 }
 
+/// A `max_wait` too large to add to the clock is an unbounded wait, not a
+/// worker panic: a full batch flushes, and a lone request flushes at
+/// shutdown.
+#[test]
+fn unbounded_max_wait_flushes_full_batches_and_at_shutdown() {
+    let fix = fixture();
+    let service = one_replica(
+        ServeConfig::builder()
+            .workers(1)
+            .max_batch(2)
+            .max_wait(Duration::MAX)
+            .cache_capacity(0)
+            .build()
+            .unwrap(),
+    );
+    let pair = [service.submit(&fix.data[0]).unwrap(), service.submit(&fix.data[1]).unwrap()];
+    for (i, h) in pair.into_iter().enumerate() {
+        let emb = h.wait().unwrap_or_else(|e| panic!("request {i} of a full batch: {e}"));
+        assert_bits_eq(&emb, &fix.reference[i], &format!("full batch request {i}"));
+    }
+    let lone = service.submit(&fix.data[2]).unwrap();
+    let stats = only(service.shutdown());
+    let emb = lone.wait().unwrap_or_else(|e| panic!("lone request lost at shutdown: {e}"));
+    assert_bits_eq(&emb, &fix.reference[2], "lone request");
+    assert_eq!((stats.completed, stats.failed), (3, 0));
+}
+
 #[test]
 fn cache_hit_returns_the_identical_vector() {
     let fix = fixture();
