@@ -31,7 +31,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use crate::store::{Precision, VectorStore};
+use crate::store::VectorStore;
 use crate::{check_vector, AnnError, Neighbor, VectorIndex};
 
 /// Tunables for [`Hnsw`]. See the module docs for the trade-offs.
@@ -43,8 +43,6 @@ pub struct HnswConfig {
     pub ef_construction: usize,
     /// Default beam width during queries (raised to `k` when `k` is larger).
     pub ef_search: usize,
-    /// Row representation of the backing [`VectorStore`].
-    pub precision: Precision,
     /// Seed for the level-sampling RNG.
     pub seed: u64,
 }
@@ -55,7 +53,6 @@ impl Default for HnswConfig {
             m: 16,
             ef_construction: 128,
             ef_search: 64,
-            precision: Precision::F32,
             seed: 0x5354_4152_5441_4e4e, // "STARTANN"
         }
     }
@@ -141,11 +138,6 @@ impl HnswConfigBuilder {
 
     pub fn ef_search(mut self, ef: usize) -> Self {
         self.cfg.ef_search = ef;
-        self
-    }
-
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.cfg.precision = precision;
         self
     }
 
@@ -249,7 +241,7 @@ impl Hnsw {
         };
         Self {
             level_mult: 1.0 / (cfg.m as f64).ln(),
-            store: VectorStore::new(dim, cfg.precision),
+            store: VectorStore::new(dim),
             rng: cfg.seed,
             cfg,
             nodes: Vec::new(),
@@ -370,14 +362,14 @@ impl Hnsw {
     /// clustered stores grow — while the dominance test spreads links
     /// across directions. May keep fewer than `m`; always keeps the
     /// closest candidate.
-    fn select_diverse(&self, cands: &[Cand], m: usize, scratch: &mut Vec<f32>) -> Vec<Cand> {
+    fn select_diverse(&self, cands: &[Cand], m: usize) -> Vec<Cand> {
         let mut kept: Vec<Cand> = Vec::with_capacity(m.min(cands.len()));
         for &c in cands {
             if kept.len() == m {
                 break;
             }
-            self.store.copy_row(c.node, scratch);
-            let dominated = kept.iter().any(|s| self.store.dist2(s.node, scratch) < c.dist2);
+            let row = self.store.row(c.node);
+            let dominated = kept.iter().any(|s| self.store.dist2(s.node, row) < c.dist2);
             if !dominated {
                 kept.push(c);
             }
@@ -387,19 +379,18 @@ impl Hnsw {
 
     /// Re-select `node`'s layer-`layer` links down to `keep` via the
     /// diversity heuristic — the overflow path after a reverse link lands.
-    fn prune_links(&mut self, node: u32, layer: usize, keep: usize, scratch: &mut Vec<f32>) {
-        let mut base = Vec::with_capacity(self.store.dim());
-        self.store.copy_row(node, &mut base);
+    fn prune_links(&mut self, node: u32, layer: usize, keep: usize) {
+        let base = self.store.row(node);
         let mut ranked: Vec<Cand> = self.nodes[node as usize].links[layer]
             .iter()
             .map(|&nb| Cand {
-                dist2: self.store.dist2(nb, &base),
+                dist2: self.store.dist2(nb, base),
                 id: self.ids[nb as usize],
                 node: nb,
             })
             .collect();
         ranked.sort_unstable();
-        let kept = self.select_diverse(&ranked, keep, scratch);
+        let kept = self.select_diverse(&ranked, keep);
         let links = &mut self.nodes[node as usize].links[layer];
         links.clear();
         links.extend(kept.into_iter().map(|c| c.node));
@@ -432,16 +423,15 @@ impl Hnsw {
         }
 
         let mut visited = BitSet::for_nodes(self.nodes.len());
-        let mut scratch = Vec::new();
         for l in (0..=level.min(self.top_level)).rev() {
             visited.clear();
             let found = self.search_layer(vector, ep, self.cfg.ef_construction, l, &mut visited);
             let max_links = if l == 0 { self.cfg.m * 2 } else { self.cfg.m };
-            for cand in self.select_diverse(&found, self.cfg.m, &mut scratch) {
+            for cand in self.select_diverse(&found, self.cfg.m) {
                 self.nodes[node as usize].links[l].push(cand.node);
                 self.nodes[cand.node as usize].links[l].push(node);
                 if self.nodes[cand.node as usize].links[l].len() > max_links {
-                    self.prune_links(cand.node, l, max_links, &mut scratch);
+                    self.prune_links(cand.node, l, max_links);
                 }
             }
             if let Some(best) = found.first() {
@@ -527,21 +517,16 @@ impl VectorIndex for Hnsw {
 
     fn get(&self, id: u64) -> Option<Vec<f32>> {
         let node = *self.slots.get(&id)?;
-        let mut out = Vec::with_capacity(self.store.dim());
-        self.store.copy_row(node, &mut out);
-        Some(out)
+        Some(self.store.row(node).to_vec())
     }
 
     fn for_each(&self, f: &mut dyn FnMut(u64, &[f32])) {
         // Node order, not HashMap order: iteration is deterministic for a
         // given history.
-        let mut row = Vec::with_capacity(self.store.dim());
         for node in 0..self.nodes.len() {
-            if self.dead[node] {
-                continue;
+            if !self.dead[node] {
+                f(self.ids[node], self.store.row(node as u32));
             }
-            self.store.copy_row(node as u32, &mut row);
-            f(self.ids[node], &row);
         }
     }
 }
@@ -627,20 +612,5 @@ mod tests {
         let hits = index.knn(&[5.0, 5.0], 1).expect("knn");
         assert_eq!(hits[0].id, 7);
         assert_eq!(hits[0].distance, 0.0);
-    }
-
-    #[test]
-    fn quantized_index_still_finds_close_neighbours() {
-        let dim = 8;
-        let data = vecs(100, dim);
-        let cfg = HnswConfig::builder().precision(Precision::I8).ef_search(200).build().unwrap();
-        let mut index = Hnsw::new(dim, cfg);
-        for (i, v) in data.iter().enumerate() {
-            index.insert(i as u64, v).expect("insert");
-        }
-        // The query IS a stored vector; quantization error is far smaller
-        // than inter-point distances at this density, so it must come back.
-        let hits = index.knn(&data[42], 1).expect("knn");
-        assert_eq!(hits[0].id, 42);
     }
 }

@@ -12,14 +12,14 @@
 //!   [`check_vector`]. The serving crate's brute-force
 //!   `EmbeddingStore` implements it as the *exactness reference*; the
 //!   [`hnsw::Hnsw`] index implements it as the *scaling path*.
-//! - [`store::VectorStore`] — an arena-backed, row-major vector arena with
-//!   optional int8 scalar quantization, so a million 64-d embeddings cost
-//!   ~64 MB (f32) or ~17 MB (int8) with no per-row allocation.
+//! - [`store::VectorStore`] — an arena-backed, row-major f32 vector arena,
+//!   so a million 64-d embeddings cost 256 MB (10⁶ × 64 × 4 B) with no
+//!   per-row allocation.
 //! - [`TopK`] — bounded max-heap k-smallest selection with the workspace's
 //!   deterministic tie-break (distance, then smaller id), shared by the
 //!   brute-force scan, the HNSW result stage and the evaluation scans
 //!   (`start_eval::metrics`), so every exact ranking breaks ties alike.
-//! - [`dist2`] — the one exact squared-distance kernel: the f32 store rows,
+//! - [`dist2`] — the one exact squared-distance kernel: the store rows,
 //!   `start_core::euclidean` and the evaluation scans all sum through it.
 //!
 //! Everything here is deterministic: HNSW level draws come from a seeded
@@ -32,7 +32,7 @@ pub mod hnsw;
 pub mod store;
 
 pub use hnsw::{Hnsw, HnswConfig, HnswConfigBuilder, HnswConfigError};
-pub use store::{Precision, VectorStore};
+pub use store::VectorStore;
 
 /// One kNN answer: an indexed id and its (Euclidean) distance to the query.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,7 +116,7 @@ pub trait VectorIndex: Send + Sync {
     /// closest first; ties break toward the smaller id.
     fn knn(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>, AnnError>;
 
-    /// The stored vector for `id` (dequantized copy), if live.
+    /// The stored vector for `id` (a copy), if live.
     fn get(&self, id: u64) -> Option<Vec<f32>>;
 
     /// Visit every live `(id, vector)` pair, in unspecified order — the

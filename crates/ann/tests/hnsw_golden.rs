@@ -79,7 +79,7 @@ fn build() -> (Hnsw, EmbeddingStore, Vec<Vec<f32>>) {
         (0..CENTERS).map(|_| (0..DIM).map(|_| 2.0 * (rng.unit() - 0.5)).collect()).collect();
     let mut hnsw = Hnsw::new(DIM, HnswConfig::default());
     let mut brute = EmbeddingStore::new(DIM);
-    let mut apply = |id: u64, v: &[f32], hnsw: &mut Hnsw, brute: &mut EmbeddingStore| {
+    let apply = |id: u64, v: &[f32], hnsw: &mut Hnsw, brute: &mut EmbeddingStore| {
         hnsw.insert(id, v).expect("hnsw insert");
         brute.insert(id, v).expect("brute insert");
     };

@@ -22,7 +22,7 @@
 use std::fmt::Write as _;
 
 use start_bench::timed;
-use start_serve::{AnnError, EmbeddingStore, Hnsw, HnswConfig, Precision, VectorIndex};
+use start_serve::{AnnError, EmbeddingStore, Hnsw, HnswConfig, VectorIndex};
 
 const DIM: usize = 64;
 const K: usize = 10;
@@ -61,17 +61,8 @@ fn synth_centers(seed: u64) -> Vec<f32> {
     (0..NUM_CENTERS * DIM).map(|_| 2.0 * (unit(&mut state) - 0.5)).collect()
 }
 
-fn precision_label(p: Precision) -> &'static str {
-    match p {
-        Precision::F32 => "f32",
-        Precision::F16 => "f16",
-        Precision::I8 => "int8",
-    }
-}
-
 struct Point {
     n: usize,
-    precision: Precision,
     brute_build_secs: f64,
     hnsw_build_secs: f64,
     brute_qps: f64,
@@ -88,7 +79,7 @@ impl Point {
 
 /// One sweep point: build both indexes over the same store, query both
 /// with the same held-out queries, score recall against the exact answers.
-fn run_point(n: usize, centers: &[f32], precision: Precision) -> Point {
+fn run_point(n: usize, centers: &[f32]) -> Point {
     let data = synth_vectors(n, centers, 0x00da_7a00 + n as u64);
     let queries = synth_vectors(NUM_QUERIES, centers, 0x00c0_ffee + n as u64);
 
@@ -99,9 +90,8 @@ fn run_point(n: usize, centers: &[f32], precision: Precision) -> Point {
         }
         store
     });
-    let hnsw_cfg = HnswConfig::builder().precision(precision).build().expect("valid hnsw config");
     let (hnsw, hnsw_build) = timed(|| {
-        let mut index = Hnsw::new(DIM, hnsw_cfg);
+        let mut index = Hnsw::new(DIM, HnswConfig::default());
         for (i, row) in data.chunks_exact(DIM).enumerate() {
             index.insert(i as u64, row).expect("hnsw insert");
         }
@@ -134,7 +124,6 @@ fn run_point(n: usize, centers: &[f32], precision: Precision) -> Point {
 
     Point {
         n,
-        precision,
         brute_build_secs: brute_build.as_secs_f64(),
         hnsw_build_secs: hnsw_build.as_secs_f64(),
         brute_qps: NUM_QUERIES as f64 / brute_secs.as_secs_f64(),
@@ -146,77 +135,15 @@ fn run_point(n: usize, centers: &[f32], precision: Precision) -> Point {
 
 fn print_point(p: &Point) {
     println!(
-        "  n={:>9} {:>4}  build {:>7.2}s  brute {:>9.1} q/s  hnsw {:>10.1} q/s  \
+        "  n={:>9}  build {:>7.2}s  brute {:>9.1} q/s  hnsw {:>10.1} q/s  \
          speedup {:>7.1}x  recall@{K} {:.4}",
         p.n,
-        precision_label(p.precision),
         p.hnsw_build_secs,
         p.brute_qps,
         p.hnsw_qps,
         p.speedup(),
         p.recall_at_k,
     );
-}
-
-/// One serving-precision measurement: a reduced-precision brute-force
-/// store vs the exact f32 scan over the same rows and queries.
-struct ServingPoint {
-    precision: Precision,
-    recall_at_k: f64,
-    bytes: usize,
-}
-
-/// The reduced-precision serving path: build brute-force stores
-/// (`EmbeddingStore::with_precision`) at each storage precision over
-/// the same data, take the f32 store's answers as ground truth, and score
-/// the quantized stores' recall@K plus resident embedding bytes.
-fn run_serving_precision(n: usize, centers: &[f32]) -> (usize, Vec<ServingPoint>) {
-    let data = synth_vectors(n, centers, 0x00da_7a00 + n as u64);
-    let queries = synth_vectors(NUM_QUERIES, centers, 0x00c0_ffee + n as u64);
-
-    let build = |precision: Precision| {
-        let mut store = EmbeddingStore::with_precision(DIM, precision);
-        for (i, row) in data.chunks_exact(DIM).enumerate() {
-            store.insert(i as u64, row).expect("serving insert");
-        }
-        store
-    };
-    let exact = build(Precision::F32);
-    let truth: Vec<_> =
-        queries.chunks_exact(DIM).map(|q| exact.knn(q, K).expect("exact knn")).collect();
-
-    let points = [Precision::F16, Precision::I8]
-        .into_iter()
-        .map(|precision| {
-            let store = build(precision);
-            let mut hits = 0usize;
-            let mut want = 0usize;
-            for (t, q) in truth.iter().zip(queries.chunks_exact(DIM)) {
-                let a = store.knn(q, K).expect("quantized knn");
-                want += t.len();
-                hits += a.iter().filter(|x| t.iter().any(|m| m.id == x.id)).count();
-            }
-            ServingPoint {
-                precision,
-                recall_at_k: hits as f64 / want as f64,
-                bytes: store.memory_bytes(),
-            }
-        })
-        .collect();
-    (exact.memory_bytes(), points)
-}
-
-fn print_serving(exact_bytes: usize, points: &[ServingPoint]) {
-    println!("  serving precision (brute force, f32 truth, {exact_bytes} bytes at f32):");
-    for p in points {
-        println!(
-            "    {:>4}  recall@{K} {:.4}  resident {:>10} bytes ({:.2}x smaller)",
-            precision_label(p.precision),
-            p.recall_at_k,
-            p.bytes,
-            exact_bytes as f64 / p.bytes as f64,
-        );
-    }
 }
 
 /// The smoke regression: a malformed vector is a typed error on every
@@ -249,21 +176,10 @@ fn main() {
 
     if smoke {
         assert_dimension_mismatch_is_typed();
-        let p = run_point(2_000, &centers, Precision::F32);
+        let p = run_point(2_000, &centers);
         print_point(&p);
         assert!(p.recall_at_k >= 0.9, "smoke recall@{K} too low: {:.3}", p.recall_at_k);
         assert!(p.speedup() > 1.0, "HNSW slower than brute force at 2k: {:.2}x", p.speedup());
-        let (exact_bytes, serving) = run_serving_precision(2_000, &centers);
-        print_serving(exact_bytes, &serving);
-        let f16 = serving
-            .iter()
-            .find(|s| s.precision == Precision::F16)
-            .expect("serving sweep includes f16");
-        assert!(
-            f16.recall_at_k >= 0.99,
-            "f16 serving recall@{K} is {:.4} (floor: 0.99)",
-            f16.recall_at_k
-        );
         println!("bench_search --smoke: ok (typed errors held, recall {:.3})", p.recall_at_k);
         return;
     }
@@ -274,26 +190,9 @@ fn main() {
     }
     let mut sweep = Vec::new();
     for &n in &sizes {
-        sweep.push(run_point(n, &centers, Precision::F32));
+        sweep.push(run_point(n, &centers));
         print_point(sweep.last().expect("just pushed"));
     }
-    // One quantized point at the largest size: the memory/recall trade.
-    let largest = *sizes.last().expect("non-empty sweep");
-    let int8 = run_point(largest, &centers, Precision::I8);
-    print_point(&int8);
-
-    // The reduced-precision *serving* path (brute-force store,
-    // `EmbeddingStore::with_precision`) at the largest size.
-    let (exact_bytes, serving) = run_serving_precision(largest, &centers);
-    print_serving(exact_bytes, &serving);
-    let f16_serving =
-        serving.iter().find(|s| s.precision == Precision::F16).expect("serving sweep includes f16");
-    assert!(
-        f16_serving.recall_at_k >= 0.99,
-        "f16 serving recall@{K} at {largest} is {:.4} (floor: 0.99)",
-        f16_serving.recall_at_k
-    );
-
     let at_100k = sweep
         .iter()
         .find(|p| p.n == 100_000)
@@ -326,11 +225,9 @@ fn main() {
         std::thread::available_parallelism().map_or(1, usize::from)
     );
     let _ = writeln!(json, "  \"sweep\": [");
-    let points: Vec<&Point> = sweep.iter().chain(std::iter::once(&int8)).collect();
-    for (i, p) in points.iter().enumerate() {
+    for (i, p) in sweep.iter().enumerate() {
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"n\": {},", p.n);
-        let _ = writeln!(json, "      \"precision\": \"{}\",", precision_label(p.precision));
         let _ = writeln!(json, "      \"brute_build_secs\": {:.4},", p.brute_build_secs);
         let _ = writeln!(json, "      \"hnsw_build_secs\": {:.4},", p.hnsw_build_secs);
         let _ = writeln!(json, "      \"brute_qps\": {:.1},", p.brute_qps);
@@ -338,27 +235,9 @@ fn main() {
         let _ = writeln!(json, "      \"speedup_vs_brute\": {:.2},", p.speedup());
         let _ = writeln!(json, "      \"recall_at_10\": {:.4},", p.recall_at_k);
         let _ = writeln!(json, "      \"hnsw_bytes\": {}", p.hnsw_bytes);
-        let _ = writeln!(json, "    }}{}", if i + 1 < points.len() { "," } else { "" });
+        let _ = writeln!(json, "    }}{}", if i + 1 < sweep.len() { "," } else { "" });
     }
     let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"serving_precision\": {{");
-    let _ = writeln!(json, "    \"n\": {largest},");
-    let _ = writeln!(json, "    \"index\": \"brute_force\",");
-    let _ = writeln!(json, "    \"f32_bytes\": {exact_bytes},");
-    let _ = writeln!(json, "    \"points\": [");
-    for (i, s) in serving.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{\"precision\": \"{}\", \"recall_at_10\": {:.4}, \"bytes\": {}}}{}",
-            precision_label(s.precision),
-            s.recall_at_k,
-            s.bytes,
-            if i + 1 < serving.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "    ],");
-    let _ = writeln!(json, "    \"floors\": {{\"f16_recall_at_10\": 0.99}}");
-    let _ = writeln!(json, "  }},");
     let _ = writeln!(
         json,
         "  \"acceptance\": {{\"speedup_at_100k\": {:.2}, \"recall_at_10_at_100k\": {:.4}, \

@@ -20,7 +20,6 @@ pub struct MultiHeadAttention {
     wv: Linear,
     wo: Linear,
     heads: usize,
-    head_dim: usize,
     dropout: f32,
 }
 
@@ -40,7 +39,6 @@ impl MultiHeadAttention {
             wv: Linear::new(store, rng, &format!("{name}.wv"), dim, dim, true),
             wo: Linear::new(store, rng, &format!("{name}.wo"), dim, dim, true),
             heads,
-            head_dim: dim / heads,
             dropout,
         }
     }
@@ -71,43 +69,9 @@ impl MultiHeadAttention {
         self.wo.forward(g, ctx)
     }
 
-    /// The pre-fusion per-head tape (slice/transpose/matmul/softmax/concat
-    /// per head). Kept as the oracle the fused-attention agreement tests
-    /// compare against; not used by the encoder.
-    pub fn forward_unfused(
-        &self,
-        g: &mut Graph,
-        x: NodeId,
-        bias: Option<NodeId>,
-        rng: &mut StdRng,
-    ) -> NodeId {
-        let t = g.shape(x).0;
-        if let Some(b) = bias {
-            debug_assert_eq!(g.shape(b), (t, t), "attention bias must be (T, T)");
-        }
-        let q = self.wq.forward(g, x);
-        let k = self.wk.forward(g, x);
-        let v = self.wv.forward(g, x);
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut head_outputs = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let lo = h * self.head_dim;
-            let hi = lo + self.head_dim;
-            let qh = g.slice_cols(q, lo, hi);
-            let kh = g.slice_cols(k, lo, hi);
-            let vh = g.slice_cols(v, lo, hi);
-            let kt = g.transpose(kh);
-            let scores = g.matmul(qh, kt);
-            let mut scores = g.scale(scores, scale);
-            if let Some(b) = bias {
-                scores = g.add(scores, b);
-            }
-            let attn = g.softmax_rows(scores);
-            let attn = g.dropout(attn, self.dropout, rng);
-            head_outputs.push(g.matmul(attn, vh));
-        }
-        let concat = g.concat_cols(&head_outputs);
-        self.wo.forward(g, concat)
+    /// The `(wq, wk, wv, wo)` projections, in that order.
+    pub fn projections(&self) -> [&Linear; 4] {
+        [&self.wq, &self.wk, &self.wv, &self.wo]
     }
 
     pub fn heads(&self) -> usize {

@@ -1,6 +1,6 @@
 //! Contract of the fused multi-head attention kernel and the tape buffer
 //! pool: the fused op must be numerically interchangeable with the legacy
-//! per-head tape (`MultiHeadAttention::forward_unfused`), its dropout mask
+//! per-head tape ([`forward_unfused`], the oracle kept here), its dropout mask
 //! must be a deterministic function of the RNG stream, and pooled graph
 //! reuse across `Graph::reset` must not change any result.
 
@@ -21,6 +21,48 @@ fn build_mha(dropout: f32) -> (ParamStore, MultiHeadAttention) {
     let mut store = ParamStore::new();
     let mha = MultiHeadAttention::new(&mut store, &mut rng, "mha", DIM, HEADS, dropout);
     (store, mha)
+}
+
+/// The pre-fusion per-head tape (slice/transpose/matmul/softmax/concat per
+/// head) of `mha` built with dropout `dropout`: the oracle the fused op is
+/// compared against.
+fn forward_unfused(
+    mha: &MultiHeadAttention,
+    dropout: f32,
+    g: &mut Graph,
+    x: NodeId,
+    bias: Option<NodeId>,
+    rng: &mut StdRng,
+) -> NodeId {
+    let [wq, wk, wv, wo] = mha.projections();
+    let head_dim = DIM / mha.heads();
+    let t = g.shape(x).0;
+    if let Some(b) = bias {
+        debug_assert_eq!(g.shape(b), (t, t), "attention bias must be (T, T)");
+    }
+    let q = wq.forward(g, x);
+    let k = wk.forward(g, x);
+    let v = wv.forward(g, x);
+    let scale = 1.0 / (head_dim as f32).sqrt();
+    let mut head_outputs = Vec::with_capacity(mha.heads());
+    for h in 0..mha.heads() {
+        let lo = h * head_dim;
+        let hi = lo + head_dim;
+        let qh = g.slice_cols(q, lo, hi);
+        let kh = g.slice_cols(k, lo, hi);
+        let vh = g.slice_cols(v, lo, hi);
+        let kt = g.transpose(kh);
+        let scores = g.matmul(qh, kt);
+        let mut scores = g.scale(scores, scale);
+        if let Some(b) = bias {
+            scores = g.add(scores, b);
+        }
+        let attn = g.softmax_rows(scores);
+        let attn = g.dropout(attn, dropout, rng);
+        head_outputs.push(g.matmul(attn, vh));
+    }
+    let concat = g.concat_cols(&head_outputs);
+    wo.forward(g, concat)
 }
 
 fn seq_input(g: &mut Graph) -> NodeId {
@@ -50,7 +92,7 @@ fn fused_matches_unfused_forward() {
         let mut g2 = Graph::new(&store, false);
         let x2 = seq_input(&mut g2);
         let b2 = with_bias.then(|| interval_bias(&mut g2));
-        let y2 = mha.forward_unfused(&mut g2, x2, b2, &mut rng);
+        let y2 = forward_unfused(&mha, 0.0, &mut g2, x2, b2, &mut rng);
 
         let diff = max_abs_diff(g1.value(y1), g2.value(y2));
         assert!(diff <= 1e-5, "fused/unfused forward diverged (bias={with_bias}): {diff}");
@@ -69,7 +111,7 @@ fn fused_matches_unfused_gradients() {
         let y = if fused {
             mha.forward(&mut g, x, Some(bias), &mut rng)
         } else {
-            mha.forward_unfused(&mut g, x, Some(bias), &mut rng)
+            forward_unfused(&mha, 0.0, &mut g, x, Some(bias), &mut rng)
         };
         let sq = g.mul(y, y);
         let loss = g.sum_all(sq);

@@ -50,8 +50,6 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Backend of the router's one kNN index behind `index`/`knn` (brute
     /// force by default). Not per replica: a router holds one index.
-    /// A reduced-precision index is an HNSW one with
-    /// [`HnswConfig::precision`] set.
     pub index: IndexKind,
     /// Test hook: stall each worker this long before it starts draining,
     /// making queue-full conditions deterministic.

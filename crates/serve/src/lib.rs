@@ -46,8 +46,6 @@ pub use config::{
 pub use error::ServeError;
 pub use router::{fold_fingerprint, PublishReport, Router, RouterStats};
 pub use service::EmbeddingHandle;
-pub use start_ann::{
-    AnnError, Hnsw, HnswConfig, HnswConfigBuilder, HnswConfigError, Precision, VectorIndex,
-};
+pub use start_ann::{AnnError, Hnsw, HnswConfig, HnswConfigBuilder, HnswConfigError, VectorIndex};
 pub use stats::{Histogram, HistogramSnapshot, ServiceStats};
 pub use store::{EmbeddingStore, Neighbor};

@@ -6,26 +6,22 @@
 
 use std::collections::HashMap;
 
-use start_ann::{check_vector, AnnError, Precision, TopK, VectorIndex, VectorStore};
+use start_ann::{check_vector, AnnError, TopK, VectorIndex, VectorStore};
 
 pub use start_ann::Neighbor;
 
 /// An arena-backed embedding index with brute-force kNN.
 ///
-/// Rows live in a [`VectorStore`] arena (row-major, chunked, optionally
-/// reduced-precision), so the scan stays cache-friendly and a serving
-/// configuration can hold embeddings at [`Precision::F16`] or
-/// [`Precision::I8`] for a 2×/~4× memory cut. `id → row` lives in a side
-/// map so ids can be sparse. Re-inserting an id overwrites its row in
-/// place; removal swap-fills the hole with the last row (re-encoding is
-/// value-preserving: a dequantized row re-quantizes to the same bits).
+/// Rows live in a [`VectorStore`] f32 arena (row-major, chunked), so the
+/// scan stays cache-friendly. `id → row` lives in a side map so ids can be
+/// sparse. Re-inserting an id overwrites its row in place; removal
+/// swap-fills the hole with the last row, moved within the arena.
 ///
-/// Brute force is the exact baseline — the f32 arena path accumulates in
-/// the same order as the workspace `euclidean` kernel, so at
-/// [`Precision::F32`] the distances are bit-for-bit the legacy scan's, and
-/// selection goes through the shared [`TopK`] bound (O(N log k), not a
-/// full sort) with the workspace tie-break: ascending distance, then
-/// ascending id.
+/// Brute force is the exact baseline — the arena's distance accumulates in
+/// the same order as the workspace `euclidean` kernel, so the distances
+/// are bit-for-bit the legacy scan's, and selection goes through the
+/// shared [`TopK`] bound (O(N log k), not a full sort) with the workspace
+/// tie-break: ascending distance, then ascending id.
 ///
 /// Malformed vectors are refused with a typed [`AnnError`], never a panic:
 /// the store must survive a bad request with its state intact, because a
@@ -37,15 +33,8 @@ pub struct EmbeddingStore {
 }
 
 impl EmbeddingStore {
-    /// A full-precision (f32) store — the exactness reference.
     pub fn new(dim: usize) -> Self {
-        Self::with_precision(dim, Precision::F32)
-    }
-
-    /// A store holding rows at the given arena precision (the serving
-    /// tier's reduced-precision path).
-    pub fn with_precision(dim: usize, precision: Precision) -> Self {
-        Self { store: VectorStore::new(dim, precision), ids: Vec::new(), rows: HashMap::new() }
+        Self { store: VectorStore::new(dim), ids: Vec::new(), rows: HashMap::new() }
     }
 
     pub fn len(&self) -> usize {
@@ -58,11 +47,6 @@ impl EmbeddingStore {
 
     pub fn dim(&self) -> usize {
         self.store.dim()
-    }
-
-    /// The arena precision rows are stored at.
-    pub fn precision(&self) -> Precision {
-        self.store.precision()
     }
 
     /// Approximate resident bytes of the embedding payload.
@@ -93,29 +77,18 @@ impl EmbeddingStore {
         let Some(row) = self.rows.remove(&id) else {
             return false;
         };
-        let last = self.ids.len() - 1;
-        if row != last {
-            let moved_id = self.ids[last];
-            self.ids.swap(row, last);
-            // Moving a row through dequantize → re-encode is lossless:
-            // f16 values round-trip exactly, and an i8 row's max|x| is
-            // 127·scale, so it re-quantizes to the same bytes.
-            let mut moved = Vec::with_capacity(self.store.dim());
-            self.store.copy_row(last as u32, &mut moved);
-            self.store.overwrite(row as u32, &moved);
+        self.ids.swap_remove(row);
+        self.store.swap_remove(row as u32);
+        if let Some(&moved_id) = self.ids.get(row) {
             self.rows.insert(moved_id, row);
         }
-        self.ids.pop();
-        self.store.truncate(last);
         true
     }
 
-    /// The stored embedding for `id` (dequantized copy), if indexed.
+    /// The stored embedding for `id` (a copy), if indexed.
     pub fn get(&self, id: u64) -> Option<Vec<f32>> {
         let &row = self.rows.get(&id)?;
-        let mut out = Vec::with_capacity(self.store.dim());
-        self.store.copy_row(row as u32, &mut out);
-        Some(out)
+        Some(self.store.row(row as u32).to_vec())
     }
 
     /// The `k` nearest stored embeddings to `query`, closest first; ties
@@ -159,10 +132,8 @@ impl VectorIndex for EmbeddingStore {
     }
 
     fn for_each(&self, f: &mut dyn FnMut(u64, &[f32])) {
-        let mut row = Vec::with_capacity(self.store.dim());
         for (r, &id) in self.ids.iter().enumerate() {
-            self.store.copy_row(r as u32, &mut row);
-            f(id, &row);
+            f(id, self.store.row(r as u32));
         }
     }
 }
@@ -266,65 +237,6 @@ mod tests {
         let hits = store.knn(&[1.1], 2).unwrap();
         assert_eq!(hits[0].id, 2);
         assert_eq!(hits[1].id, 0);
-    }
-
-    #[test]
-    fn reduced_precision_store_shrinks_and_survives_churn() {
-        for precision in [Precision::F16, Precision::I8] {
-            let dim = 16;
-            let mut full = EmbeddingStore::new(dim);
-            let mut small = EmbeddingStore::with_precision(dim, precision);
-            assert_eq!(small.precision(), precision);
-            for id in 0..40u64 {
-                let v: Vec<f32> = (0..dim).map(|c| ((id * 31 + c as u64) as f32).sin()).collect();
-                full.insert(id, &v).unwrap();
-                small.insert(id, &v).unwrap();
-            }
-            // Churn: removals swap-fill through the quantized arena.
-            for id in [3u64, 17, 39, 0] {
-                assert!(full.remove(id));
-                assert!(small.remove(id));
-            }
-            // Quantized answers stay near-exact on well-separated data.
-            let q: Vec<f32> = (0..dim).map(|c| ((5 * 31 + c) as f32).sin()).collect();
-            let exact = full.knn(&q, 5).unwrap();
-            let approx = small.knn(&q, 5).unwrap();
-            let exact_ids: Vec<u64> = exact.iter().map(|n| n.id).collect();
-            let approx_ids: Vec<u64> = approx.iter().map(|n| n.id).collect();
-            assert_eq!(exact_ids[0], approx_ids[0], "{precision:?}: nearest id must match");
-            // Swap-filled rows round-trip through dequantize → re-encode:
-            // what `get` returns is what `knn` ranked.
-            let got = small.get(38).unwrap();
-            assert_eq!(got.len(), dim);
-        }
-    }
-
-    #[test]
-    fn reduced_precision_cuts_resident_bytes_at_scale() {
-        // The arena commits ~1 MiB chunks, so the precision cut only shows
-        // once the store outgrows a single chunk — fill well past it.
-        let dim = 64;
-        let mut f32s = EmbeddingStore::new(dim);
-        let mut f16s = EmbeddingStore::with_precision(dim, Precision::F16);
-        let mut i8s = EmbeddingStore::with_precision(dim, Precision::I8);
-        let v = vec![0.25f32; dim];
-        for id in 0..40_000u64 {
-            f32s.insert(id, &v).unwrap();
-            f16s.insert(id, &v).unwrap();
-            i8s.insert(id, &v).unwrap();
-        }
-        assert!(
-            f16s.memory_bytes() < f32s.memory_bytes(),
-            "f16 {} vs f32 {}",
-            f16s.memory_bytes(),
-            f32s.memory_bytes()
-        );
-        assert!(
-            i8s.memory_bytes() < f16s.memory_bytes(),
-            "i8 {} vs f16 {}",
-            i8s.memory_bytes(),
-            f16s.memory_bytes()
-        );
     }
 
     proptest! {
