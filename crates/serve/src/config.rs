@@ -37,10 +37,14 @@ pub struct ServeConfig {
     /// model version, so a batch pays only per-view TAT-Enc, cache lookups
     /// and one tape per 64 views.
     pub max_batch: usize,
-    /// Flush a micro-batch this long after its first request is picked up,
-    /// even if it is not full. Zero disables batching-by-wait; a budget too
-    /// large to add to the clock (such as `Duration::MAX`) waits untimed,
-    /// for a full batch or a shutdown.
+    /// How long a worker back from a batch, which finds requests already
+    /// queued, lingers for more before it flushes a batch that is not
+    /// full. An idle worker (one that had to block on the empty queue)
+    /// never waits: it takes whatever is queued and encodes it at once,
+    /// since an idle worker is evidence that no batch is forming. Zero
+    /// disables batching-by-wait; a budget too large to add to the clock
+    /// (such as `Duration::MAX`) waits untimed, for a full batch or a
+    /// shutdown.
     pub max_wait: Duration,
     /// Bounded submission-queue capacity; `submit` blocks and `try_submit`
     /// fails once this many requests are pending.

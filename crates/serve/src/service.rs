@@ -3,10 +3,15 @@
 //! a replica's.
 //!
 //! Requests enter through the router's `submit` (blocking backpressure)
-//! or `try_submit` (fail-fast `QueueFull`). A worker that finds work open
-//! starts a micro-batch: it keeps absorbing requests until the batch
-//! reaches `max_batch` or the `max_wait` budget expires (a budget too
-//! large to put on the clock waits untimed, for a full batch or shutdown),
+//! or `try_submit` (fail-fast `QueueFull`). An idle worker — one that had
+//! to block on the empty queue — takes whatever is queued when it wakes
+//! and dispatches it at once: an idle worker is evidence that no batch is
+//! forming, so waiting would only add latency. A worker that comes back
+//! from a batch and finds requests queued starts a micro-batch: it keeps
+//! absorbing requests until the batch reaches `max_batch` or the
+//! `max_wait` budget expires (a budget too large to put on the clock waits
+//! untimed, for a full batch or shutdown). So `max_wait` bounds only the
+//! wait of a worker that came back from a batch. Either way the worker
 //! then encodes the whole batch on its privately owned tape [`BufferPool`]
 //! through the unified [`Encoder`](start_core::encoder::Encoder) facade —
 //! which deduplicates identical views, consults this replica's
@@ -379,6 +384,9 @@ impl EmbeddingService {
 /// exit (shutdown with an empty queue, or replica poisoned).
 fn collect_batch(replica: &EmbeddingService) -> Option<Vec<Request>> {
     let mut st = replica.lock();
+    // Set once this worker has blocked on an empty queue: an idle worker
+    // dispatches at once (see the module docs).
+    let mut idle = false;
     loop {
         if st.poisoned {
             return None;
@@ -399,7 +407,7 @@ fn collect_batch(replica: &EmbeddingService) -> Option<Vec<Request>> {
                 }
                 // A shutting-down replica flushes immediately: waiting out
                 // the batching budget would only delay the drain.
-                if batch.len() >= max_batch || st.shutdown || st.poisoned {
+                if idle || batch.len() >= max_batch || st.shutdown || st.poisoned {
                     break;
                 }
                 st = match deadline {
@@ -429,6 +437,7 @@ fn collect_batch(replica: &EmbeddingService) -> Option<Vec<Request>> {
             return None;
         }
         st = replica.not_empty.wait(st).unwrap_or_else(PoisonError::into_inner);
+        idle = true;
     }
 }
 

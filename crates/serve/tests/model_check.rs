@@ -1,9 +1,9 @@
 //! Executable concurrency models for the serving layer, explored by the
 //! `start_sync` model checker: the submit/flush/shutdown/poison-drain queue
-//! protocol (a faithful skeleton of `service.rs`), the router's one-slot
-//! publish protocol (road matrix built before the swap, pin, swap, drain,
-//! version-tagged index), and the real
-//! [`Histogram`] under concurrent recording.
+//! protocol and idle dispatch (a faithful skeleton of `service.rs`), the
+//! router's one-slot publish protocol (road matrix built before the swap,
+//! pin, swap, drain, version-tagged index), and the real [`Histogram`]
+//! under concurrent recording.
 //!
 //! Each model must stay clean across at least 1,000 distinct schedules —
 //! the CI floor pinned by `ci.yml`. Seeds come from `ModelConfig::default`
@@ -30,6 +30,9 @@ struct Q {
     queue: VecDeque<u32>,
     shutdown: bool,
     poisoned: bool,
+    /// Workers blocked on an empty queue. Model-only: it lets a submitter
+    /// wait until the worker is idle before it submits.
+    parked: usize,
 }
 
 /// Skeleton of `service.rs`'s `Shared`: same lock/condvar/counter protocol,
@@ -38,8 +41,13 @@ struct QueueModel {
     state: Mutex<Q>,
     not_empty: Condvar,
     not_full: Condvar,
+    /// Model-only: signalled when a worker parks on an empty queue.
+    parked: Condvar,
     cap: usize,
     max_batch: usize,
+    /// `max_wait` too large for the clock: a lingering batch waits untimed
+    /// instead of on the abstract timeout.
+    untimed: bool,
     submitted: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
@@ -47,13 +55,20 @@ struct QueueModel {
 }
 
 impl QueueModel {
-    fn new(cap: usize, max_batch: usize) -> Self {
+    fn new(cap: usize, max_batch: usize, untimed: bool) -> Self {
         Self {
-            state: Mutex::new(Q { queue: VecDeque::new(), shutdown: false, poisoned: false }),
+            state: Mutex::new(Q {
+                queue: VecDeque::new(),
+                shutdown: false,
+                poisoned: false,
+                parked: 0,
+            }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
+            parked: Condvar::new(),
             cap,
             max_batch,
+            untimed,
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
@@ -87,10 +102,23 @@ impl QueueModel {
         Ok(())
     }
 
-    /// Mirror of `collect_batch`: pop one, absorb up to `max_batch` with a
-    /// timed wait standing in for the `max_wait` budget.
+    /// Submit once a worker is parked on the empty queue, so the item
+    /// reaches an idle worker.
+    fn submit_to_idle(&self, item: u32) -> Result<(), ()> {
+        let mut st = self.lock();
+        while st.parked == 0 {
+            st = self.parked.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(st);
+        self.submit(item)
+    }
+
+    /// Mirror of `collect_batch`: pop one; an idle worker dispatches at
+    /// once, any other absorbs up to `max_batch` with a timed wait standing
+    /// in for the `max_wait` budget (untimed when `untimed`).
     fn collect_batch(&self) -> Option<Vec<u32>> {
         let mut st = self.lock();
+        let mut idle = false;
         loop {
             if st.poisoned {
                 return None;
@@ -104,8 +132,12 @@ impl QueueModel {
                             None => break,
                         }
                     }
-                    if batch.len() >= self.max_batch || st.shutdown || st.poisoned {
+                    if idle || batch.len() >= self.max_batch || st.shutdown || st.poisoned {
                         break;
+                    }
+                    if self.untimed {
+                        st = self.not_empty.wait(st).unwrap_or_else(PoisonError::into_inner);
+                        continue;
                     }
                     let (guard, timeout) = self
                         .not_empty
@@ -123,12 +155,18 @@ impl QueueModel {
             if st.shutdown {
                 return None;
             }
+            st.parked += 1;
+            self.parked.notify_all();
             st = self.not_empty.wait(st).unwrap_or_else(PoisonError::into_inner);
+            st.parked -= 1;
+            idle = true;
         }
     }
 
-    /// Mirror of `worker_loop` including the poison-drain protocol.
-    fn worker(&self) {
+    /// Mirror of `worker_loop` including the poison-drain protocol; each
+    /// completed item is also sent on `replies`, standing in for the
+    /// request's answer channel.
+    fn worker(&self, replies: Option<mpsc::Sender<u32>>) {
         while let Some(batch) = self.collect_batch() {
             if batch.contains(&POISON) {
                 let drained: Vec<u32> = {
@@ -146,8 +184,11 @@ impl QueueModel {
                 }
                 return;
             }
-            for _ in &batch {
+            for &item in &batch {
                 self.completed.fetch_add(1, Ordering::Release);
+                if let Some(tx) = &replies {
+                    let _ = tx.send(item);
+                }
             }
         }
     }
@@ -169,10 +210,10 @@ impl QueueModel {
 #[test]
 fn serve_queue_submit_flush_shutdown_model_is_clean() {
     let report = check(&cfg(), || {
-        let m = Arc::new(QueueModel::new(1, 2));
+        let m = Arc::new(QueueModel::new(1, 2, false));
         let w = {
             let m = Arc::clone(&m);
-            spawn_named("worker", move || m.worker())
+            spawn_named("worker", move || m.worker(None))
         };
         let s1 = {
             let m = Arc::clone(&m);
@@ -212,10 +253,10 @@ fn serve_queue_submit_flush_shutdown_model_is_clean() {
 #[test]
 fn serve_queue_poison_drain_model_is_clean() {
     let report = check(&cfg(), || {
-        let m = Arc::new(QueueModel::new(1, 2));
+        let m = Arc::new(QueueModel::new(1, 2, false));
         let w = {
             let m = Arc::clone(&m);
-            spawn_named("worker", move || m.worker())
+            spawn_named("worker", move || m.worker(None))
         };
         let s1 = {
             let m = Arc::clone(&m);
@@ -241,6 +282,44 @@ fn serve_queue_poison_drain_model_is_clean() {
         assert!(m.lock().queue.is_empty());
     });
     report.assert_clean();
+    assert!(
+        report.distinct_schedules >= MIN_SCHEDULES,
+        "explored only {} schedules",
+        report.distinct_schedules
+    );
+}
+
+/// Idle dispatch: one worker parked on the empty queue, one submitter, one
+/// item, and a batching budget too large for the clock. The idle worker
+/// takes the item at once, so it is counted `completed` and answered before
+/// `begin_shutdown` runs; a worker that lingered for company here would
+/// wait for a shutdown that never comes (a deadlock finding).
+#[test]
+fn serve_queue_idle_worker_dispatches_at_once_model_is_clean() {
+    let report = check(&cfg(), || {
+        let m = Arc::new(QueueModel::new(1, 2, true));
+        let (tx, replies) = mpsc::channel();
+        let w = {
+            let m = Arc::clone(&m);
+            spawn_named("worker", move || m.worker(Some(tx)))
+        };
+        let s = {
+            let m = Arc::clone(&m);
+            spawn_named("submit", move || {
+                let _ = m.submit_to_idle(1);
+            })
+        };
+        assert_eq!(replies.recv().ok(), Some(1), "the idle worker never answered");
+        assert_eq!(m.completed.load(Ordering::Acquire), 1);
+        let _ = s.join();
+        m.begin_shutdown();
+        let _ = w.join();
+        assert_eq!(m.submitted.load(Ordering::Acquire), 1);
+        assert_eq!(m.failed.load(Ordering::Acquire), 0);
+        assert!(m.lock().queue.is_empty());
+    });
+    report.assert_clean();
+    println!("idle dispatch model: {} distinct schedules", report.distinct_schedules);
     assert!(
         report.distinct_schedules >= MIN_SCHEDULES,
         "explored only {} schedules",

@@ -3,7 +3,7 @@
 //! cache semantics, backpressure, panic containment, graceful shutdown, and
 //! the kNN index backends.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -97,19 +97,82 @@ fn unbounded_max_wait_flushes_full_batches_and_at_shutdown() {
             .max_batch(2)
             .max_wait(Duration::MAX)
             .cache_capacity(0)
+            // All three requests are queued before the worker first looks,
+            // so it is never idle: the lone third request, left over from
+            // the full pair, waits untimed for company.
+            .worker_warmup(Duration::from_millis(150))
             .build()
             .unwrap(),
     );
     let pair = [service.submit(&fix.data[0]).unwrap(), service.submit(&fix.data[1]).unwrap()];
+    let lone = service.submit(&fix.data[2]).unwrap();
     for (i, h) in pair.into_iter().enumerate() {
         let emb = h.wait().unwrap_or_else(|e| panic!("request {i} of a full batch: {e}"));
         assert_bits_eq(&emb, &fix.reference[i], &format!("full batch request {i}"));
     }
-    let lone = service.submit(&fix.data[2]).unwrap();
+    assert_eq!(only(service.stats()).batches, 1, "the lone request must still be waiting");
     let stats = only(service.shutdown());
     let emb = lone.wait().unwrap_or_else(|e| panic!("lone request lost at shutdown: {e}"));
     assert_bits_eq(&emb, &fix.reference[2], "lone request");
-    assert_eq!((stats.completed, stats.failed), (3, 0));
+    assert_eq!((stats.completed, stats.failed, stats.batches), (3, 0, 2));
+}
+
+/// An idle worker is evidence that no batch is forming: a lone request
+/// submitted to a worker parked on the empty queue is answered at once,
+/// even under an unbounded `max_wait`, not when shutdown flushes it.
+#[test]
+fn idle_worker_answers_a_lone_request_without_waiting_for_company() {
+    let fix = fixture();
+    let service = one_replica(
+        ServeConfig::builder()
+            .workers(1)
+            .max_batch(8)
+            .max_wait(Duration::MAX)
+            .cache_capacity(0)
+            .build()
+            .unwrap(),
+    );
+    // Let the worker park on the empty queue first; a worker that has not
+    // looked yet treats the request as waiting work and lingers for more.
+    std::thread::sleep(Duration::from_millis(200));
+    let handle = service.submit(&fix.data[0]).unwrap();
+    let (tx, rx) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let _ = tx.send(handle.wait());
+    });
+    let reply = rx.recv_timeout(Duration::from_secs(10));
+    let stats = only(service.shutdown());
+    waiter.join().unwrap();
+    let emb = reply
+        .expect("a lone request to an idle worker waited for company")
+        .unwrap_or_else(|e| panic!("lone request failed: {e}"));
+    assert_bits_eq(&emb, &fix.reference[0], "lone request");
+    assert_eq!((stats.completed, stats.failed, stats.batches), (1, 0, 1));
+}
+
+/// The busy path: requests already queued when the worker first looks fill
+/// batches up to `max_batch`, and the remainder lingers up to `max_wait`
+/// before it flushes as one batch.
+#[test]
+fn queued_requests_fill_batches_up_to_max_batch() {
+    let fix = fixture();
+    let service = one_replica(
+        ServeConfig::builder()
+            .workers(1)
+            .max_batch(4)
+            .max_wait(Duration::from_millis(50))
+            .cache_capacity(0)
+            .worker_warmup(Duration::from_millis(150))
+            .build()
+            .unwrap(),
+    );
+    let handles: Vec<_> = (0..6).map(|i| service.submit(&fix.data[i]).unwrap()).collect();
+    for (i, h) in handles.into_iter().enumerate() {
+        let emb = h.wait().unwrap_or_else(|e| panic!("queued request {i}: {e}"));
+        assert_bits_eq(&emb, &fix.reference[i], &format!("queued request {i}"));
+    }
+    let stats = only(service.shutdown());
+    assert_eq!((stats.completed, stats.batches), (6, 2), "6 queued requests: batches of 4 and 2");
 }
 
 #[test]
